@@ -138,6 +138,9 @@ pub struct SqlCluster {
     regions: Vec<RaftGroup>,
     /// Per-pod durable state (WAL + snapshot); inert when durability is off.
     durable: Vec<DurableStore>,
+    /// Per pod: the engine a crash took off it, until recovery derives the
+    /// durable image from it.
+    crash_images: Vec<Option<KvEngine>>,
     next_frontend: usize,
     /// Cluster-wide commit version counter (the TSO analogue).
     tso: u64,
@@ -194,6 +197,7 @@ impl SqlCluster {
             storages,
             regions,
             durable,
+            crash_images: vec![None; config.storage_nodes],
             next_frontend: 0,
             tso: 0,
             plan_cache: std::collections::HashMap::new(),
@@ -249,53 +253,27 @@ impl SqlCluster {
     pub fn tick(&mut self, now: SimTime) {
         for r in 0..self.regions.len() {
             let ops = self.regions[r].tick(now);
+            let region = &self.regions[r];
             for op in ops {
-                let entry = self.regions[r].entry(op.index).clone();
-                let pod = self.regions[r].replicas[op.slot];
+                let entry = region.entry(op.index);
+                let pod = region.replicas[op.slot];
+                let storage = &mut self.storages[pod];
                 for m in &entry.batch.mutations {
-                    self.storages[pod]
-                        .kv
-                        .put_at(m.key.clone(), m.value.clone(), entry.version);
+                    storage.kv.put_at(m.key.clone(), m.value.clone(), entry.version);
                 }
                 let cost = self.config.cost.raft_follower_cost(entry.bytes);
-                self.storages[pod].cpu.charge(CpuCategory::Replication, cost);
-                self.durable_apply(pod, r, &entry);
+                storage.cpu.charge(CpuCategory::Replication, cost);
+                durable_apply(&self.config, storage, &mut self.durable[pod], r, entry);
             }
         }
-    }
-
-    /// Mirror one applied raft entry into the pod's durable store: WAL
-    /// append (+ group-commit fsync when due, + snapshot when the cadence
-    /// fires). Charges the pod's meter and returns the total CPU so write
-    /// paths can also bill it to the statement's receipt. No-op (and zero)
-    /// with durability off.
-    fn durable_apply(&mut self, pod: usize, region: usize, entry: &LogEntry) -> SimDuration {
-        if !self.config.durability.enabled() {
-            return SimDuration::ZERO;
-        }
-        let writes: Vec<(Vec<u8>, Option<Vec<u8>>)> = entry
-            .batch
-            .mutations
-            .iter()
-            .map(|m| (m.key.clone(), m.value.clone()))
-            .collect();
-        let wal_cpu =
-            self.durable[pod].on_apply(region, entry.version, writes, entry.bytes, &self.config.cost);
-        self.storages[pod].cpu.charge(CpuCategory::Replication, wal_cpu);
-        let mut total = wal_cpu;
-        if let Some(snap_cpu) =
-            self.durable[pod].maybe_snapshot(&self.storages[pod].kv, &self.config.cost)
-        {
-            self.storages[pod].cpu.charge(CpuCategory::KvExec, snap_cpu);
-            total += snap_cpu;
-        }
-        total
     }
 
     /// Simulated machine crash of one storage pod (durability on): all
     /// volatile state — memtables, block cache, un-fsynced WAL tail — is
     /// discarded and every region replica hosted on the pod goes down.
-    /// Bring it back with [`SqlCluster::recover_pod`].
+    /// Bring it back with [`SqlCluster::recover_pod`]. The engine is parked,
+    /// not dropped: recovery derives the durable image from it, so a second
+    /// crash before recovery keeps the first image.
     pub fn crash_pod(&mut self, pod: usize) {
         assert!(
             self.config.durability.enabled(),
@@ -305,7 +283,8 @@ impl SqlCluster {
         self.durable[pod].stats.cold_refill_cpu_us +=
             (self.config.cost.block_miss_us * lost_blocks as f64) as u64;
         self.storages[pod].block_cache.wipe();
-        self.storages[pod].kv = KvEngine::new();
+        let live = std::mem::take(&mut self.storages[pod].kv);
+        self.crash_images[pod].get_or_insert(live);
         for region in self.regions.iter_mut() {
             if let Some(slot) = region.replicas.iter().position(|&p| p == pod) {
                 region.crash(slot);
@@ -323,7 +302,14 @@ impl SqlCluster {
             self.config.durability.enabled(),
             "recover_pod models durable-storage recovery; enable durability"
         );
-        let outcome = self.durable[pod].crash_and_recover(&self.config.cost);
+        let image = match self.crash_images[pod].take() {
+            Some(image) => image,
+            // Not crashed since its last recovery (the fault engine restarts
+            // a pod once per region whose leader it hosted): it loses its
+            // volatile state all the same.
+            None => std::mem::take(&mut self.storages[pod].kv),
+        };
+        let outcome = self.durable[pod].crash_and_recover(image, &self.config.cost);
         self.storages[pod].kv = outcome.kv;
         self.storages[pod].cpu.charge(CpuCategory::KvExec, outcome.replay_cpu);
         for (r, region) in self.regions.iter_mut().enumerate() {
@@ -607,24 +593,24 @@ impl SqlCluster {
             receipt.storage_cpu += leader_cost;
 
             let ops = self.regions[region_idx].propose(sub, version, now)?;
+            let region = &self.regions[region_idx];
             let mut max_follower = SimDuration::ZERO;
             for op in ops {
-                let entry_bytes = self.regions[region_idx].entry(op.index).bytes;
-                let entry = self.regions[region_idx].entry(op.index).clone();
-                let pod = self.regions[region_idx].replicas[op.slot];
+                let entry = region.entry(op.index);
+                let pod = region.replicas[op.slot];
+                let storage = &mut self.storages[pod];
                 for m in &entry.batch.mutations {
-                    self.storages[pod]
-                        .kv
-                        .put_at(m.key.clone(), m.value.clone(), entry.version);
+                    storage.kv.put_at(m.key.clone(), m.value.clone(), entry.version);
                 }
                 let kv_cost = SimDuration::from_micros_f64(
                     self.config.cost.kv_write_us * entry.batch.mutations.len() as f64,
                 );
-                let repl_cost = self.config.cost.raft_follower_cost(entry_bytes);
-                self.storages[pod].cpu.charge(CpuCategory::KvExec, kv_cost);
-                self.storages[pod].cpu.charge(CpuCategory::Replication, repl_cost);
+                let repl_cost = self.config.cost.raft_follower_cost(entry.bytes);
+                storage.cpu.charge(CpuCategory::KvExec, kv_cost);
+                storage.cpu.charge(CpuCategory::Replication, repl_cost);
                 receipt.storage_cpu += kv_cost + repl_cost;
-                receipt.storage_cpu += self.durable_apply(pod, region_idx, &entry);
+                receipt.storage_cpu +=
+                    durable_apply(&self.config, storage, &mut self.durable[pod], region_idx, entry);
                 max_follower = max_follower.max(repl_cost);
             }
             // Quorum round trip: leader → follower → ack.
@@ -759,6 +745,33 @@ impl SqlCluster {
             (h + sh, m + sm)
         })
     }
+}
+
+/// Mirror one raft entry, just applied to `storage`'s engine, into the pod's
+/// durable store: WAL append (+ group-commit fsync when due, + snapshot when
+/// the cadence fires). Charges the pod's meter and returns the total CPU so
+/// write paths can also bill it to the statement's receipt. No-op (and
+/// zero) with durability off. A free function so callers can lend the entry
+/// straight out of the raft log while the pods are borrowed mutably.
+fn durable_apply(
+    config: &ClusterConfig,
+    storage: &mut StoragePod,
+    durable: &mut DurableStore,
+    region: usize,
+    entry: &LogEntry,
+) -> SimDuration {
+    if !config.durability.enabled() {
+        return SimDuration::ZERO;
+    }
+    let keys = entry.batch.mutations.iter().map(|m| m.key.clone()).collect();
+    let wal_cpu = durable.on_apply_keys(region, entry.version, keys, entry.bytes, &config.cost);
+    storage.cpu.charge(CpuCategory::Replication, wal_cpu);
+    let mut total = wal_cpu;
+    if let Some(snap_cpu) = durable.maybe_snapshot(&storage.kv, &config.cost) {
+        storage.cpu.charge(CpuCategory::KvExec, snap_cpu);
+        total += snap_cpu;
+    }
+    total
 }
 
 thread_local! {
@@ -1339,6 +1352,35 @@ mod tests {
         c.recover_pod(1, t(1));
         let key = record_key("kv", &Datum::Int(42));
         assert!(c.storages[1].kv.get_latest(&key).is_some());
+    }
+
+    #[test]
+    fn double_crash_before_recovery_keeps_the_first_image() {
+        use crate::durability::FsyncPolicy;
+        let run = |crashes: usize| {
+            let mut c = durable_cluster(FsyncPolicy::Group(64), 1_000_000);
+            c.bulk_load(
+                "kv",
+                (0..50i64).map(|i| vec![Datum::Int(i), Datum::Bytes(vec![i as u8])]),
+            )
+            .unwrap();
+            for i in 50..60i64 {
+                c.execute("INSERT INTO kv VALUES (?, ?)", &[i.into(), Datum::Bytes(vec![1])], t(1))
+                    .unwrap();
+            }
+            for _ in 0..crashes {
+                c.crash_pod(0);
+            }
+            c.recover_pod(0, t(2));
+            c
+        };
+        let once = run(1);
+        let twice = run(2);
+        assert!(once.durability_stats().lost_tail_entries > 0);
+        assert_eq!(twice.durability_stats(), once.durability_stats());
+        assert_eq!(twice.storages[0].kv, once.storages[0].kv);
+        let key = record_key("kv", &Datum::Int(42));
+        assert!(twice.storages[0].kv.get_latest(&key).is_some());
     }
 
     #[test]

@@ -16,9 +16,23 @@
 //! All IO is charged through [`StorageCostConfig`] constants so the crash
 //! ablation can sweep fsync policy × snapshot cadence × crash interval and
 //! put a dollar figure on each point.
+//!
+//! # The durable image is derived, not copied
+//!
+//! A [`DurableStore`] holds no engine. It rests on one invariant: **pod
+//! engines are never gc'd, and every mutation of a pod engine goes through
+//! the cluster's `durable_apply`, in apply order** (a bulk load snapshots
+//! right after it loads). Per-key versions strictly increase. So "the
+//! snapshot plus the synced WAL replayed onto it" is exactly "the live
+//! engine minus its un-synced WAL tail", byte for byte. A snapshot is
+//! therefore bookkeeping — its size, the durable prefix, WAL truncation —
+//! and [`DurableStore::crash_and_recover`] takes the crashed pod's engine
+//! and pops the un-synced tail off it newest first with
+//! [`KvEngine::undo_put_at`], which panics if the invariant is broken. The
+//! simulated charges are those of a real snapshot load plus WAL replay.
 
 use crate::cost::StorageCostConfig;
-use crate::kv::KvEngine;
+use crate::kv::{Key, KvEngine};
 use serde::{Deserialize, Serialize};
 use simnet::SimDuration;
 
@@ -119,17 +133,18 @@ impl DurabilityStats {
     }
 }
 
-/// One WAL record: the writes one raft entry applied at this pod.
+/// One WAL record: the keys one raft entry wrote at this pod. The values
+/// live in the pod's engine; recovery needs only the keys to undo a record.
 #[derive(Debug, Clone)]
 struct WalRecord {
     region: usize,
     version: u64,
     bytes: u64,
-    writes: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    keys: Vec<Key>,
 }
 
 /// What a recovery rebuilt and what it cost.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct RecoveryOutcome {
     /// The recovered KV engine (snapshot + synced WAL replayed).
     pub kv: KvEngine,
@@ -145,12 +160,16 @@ pub struct RecoveryOutcome {
     pub replay_cpu: SimDuration,
 }
 
-/// Per-pod durable state: the current snapshot plus the WAL tail since it.
+/// Per-pod durable state: the current snapshot's bookkeeping plus the WAL
+/// tail since it. The data itself is derived from the pod's engine at
+/// recovery (see the module docs).
 #[derive(Debug)]
 pub struct DurableStore {
     cfg: DurabilityConfig,
-    snapshot: Option<KvEngine>,
     snapshot_size_bytes: u64,
+    /// `next_version` of the engine the last snapshot covered (1, like a
+    /// fresh engine, before any snapshot).
+    snapshot_next_version: u64,
     wal: Vec<WalRecord>,
     /// Records fsynced (durable): `wal[..synced]`.
     synced: usize,
@@ -166,8 +185,8 @@ impl DurableStore {
     pub fn new(cfg: DurabilityConfig, region_count: usize) -> Self {
         DurableStore {
             cfg,
-            snapshot: None,
             snapshot_size_bytes: 0,
+            snapshot_next_version: 1,
             wal: Vec::new(),
             synced: 0,
             appends_since_snapshot: 0,
@@ -190,7 +209,8 @@ impl DurableStore {
     }
 
     /// Log one applied raft entry. Returns the CPU to charge (WAL append,
-    /// plus the fsync when this append closes a group-commit batch).
+    /// plus the fsync when this append closes a group-commit batch). Only
+    /// the keys of `writes` are kept: the values live in the pod's engine.
     pub fn on_apply(
         &mut self,
         region: usize,
@@ -199,11 +219,25 @@ impl DurableStore {
         bytes: u64,
         cost: &StorageCostConfig,
     ) -> SimDuration {
+        let keys = writes.into_iter().map(|(key, _)| key).collect();
+        self.on_apply_keys(region, version, keys, bytes, cost)
+    }
+
+    /// [`DurableStore::on_apply`] for an entry that wrote `keys`, in the
+    /// order it applied them to the pod's engine at `version`.
+    pub(crate) fn on_apply_keys(
+        &mut self,
+        region: usize,
+        version: u64,
+        keys: Vec<Key>,
+        bytes: u64,
+        cost: &StorageCostConfig,
+    ) -> SimDuration {
         self.wal.push(WalRecord {
             region,
             version,
             bytes,
-            writes,
+            keys,
         });
         self.tail_applied[region] += 1;
         self.appends_since_snapshot += 1;
@@ -235,10 +269,11 @@ impl DurableStore {
 
     /// Persist the whole engine: the snapshot covers everything applied, so
     /// the WAL truncates and the durable prefix jumps to the applied prefix.
+    /// O(1): it records `kv`'s size and version counter and copies nothing.
     pub fn snapshot_now(&mut self, kv: &KvEngine, cost: &StorageCostConfig) -> SimDuration {
         let bytes = kv.live_bytes();
-        self.snapshot = Some(kv.clone());
         self.snapshot_size_bytes = bytes;
+        self.snapshot_next_version = kv.next_version();
         self.durable_applied = self.tail_applied.clone();
         self.wal.clear();
         self.synced = 0;
@@ -248,26 +283,35 @@ impl DurableStore {
         cost.snapshot_write_cost(bytes)
     }
 
-    /// Crash: volatile state is gone. Rebuild from the snapshot plus the
-    /// synced WAL prefix; the un-synced tail is dropped (the quorum still
-    /// holds those entries and re-replicates them after rejoin).
-    pub fn crash_and_recover(&mut self, cost: &StorageCostConfig) -> RecoveryOutcome {
+    /// Crash: volatile state is gone. `image` is the pod's engine as the
+    /// crash found it; recovery turns it into snapshot plus synced WAL
+    /// prefix by undoing the un-synced tail (the quorum still holds those
+    /// entries and re-replicates them after rejoin). Charges a snapshot
+    /// load and a replay of the synced prefix.
+    pub fn crash_and_recover(
+        &mut self,
+        mut image: KvEngine,
+        cost: &StorageCostConfig,
+    ) -> RecoveryOutcome {
         let lost = (self.wal.len() - self.synced) as u64;
-        self.wal.truncate(self.synced);
+        for rec in self.wal.drain(self.synced..).rev() {
+            for key in rec.keys.iter().rev() {
+                image.undo_put_at(key, rec.version);
+            }
+        }
         for (region, tail) in self.tail_applied.iter_mut().enumerate() {
             *tail = self.durable_applied[region];
         }
 
-        let mut kv = self.snapshot.clone().unwrap_or_default();
+        let mut next_version = self.snapshot_next_version;
         let mut replay_cpu = SimDuration::ZERO;
         let mut replayed_bytes = 0u64;
         for rec in &self.wal {
-            for (key, value) in &rec.writes {
-                kv.put_at(key.clone(), value.clone(), rec.version);
-            }
+            next_version = next_version.max(rec.version + 1);
             replay_cpu += cost.wal_replay_cost(rec.bytes);
             replayed_bytes += rec.bytes;
         }
+        image.reset_next_version(next_version);
         let recovery_time = cost.ssd_seek_latency()
             + cost.snapshot_load_cost(self.snapshot_size_bytes)
             + replay_cpu;
@@ -280,7 +324,7 @@ impl DurableStore {
         self.stats.lost_tail_entries += lost;
 
         RecoveryOutcome {
-            kv,
+            kv: image,
             durable_applied: self.durable_applied.clone(),
             replayed_entries,
             replayed_bytes,
@@ -307,6 +351,22 @@ mod tests {
         vec![(vec![tag], Some(vec![tag; 4]))]
     }
 
+    /// Apply `write(tag)` at `version` to the pod engine `kv` and log it,
+    /// as the cluster's `durable_apply` does.
+    fn apply(
+        d: &mut DurableStore,
+        kv: &mut KvEngine,
+        version: u64,
+        tag: u8,
+        bytes: u64,
+        cost: &StorageCostConfig,
+    ) -> SimDuration {
+        for (key, value) in write(tag) {
+            kv.put_at(key, value, version);
+        }
+        d.on_apply(0, version, write(tag), bytes, cost)
+    }
+
     #[test]
     fn defaults_are_off() {
         let d = DurabilityConfig::default();
@@ -318,8 +378,9 @@ mod tests {
     fn every_entry_fsyncs_each_append() {
         let cost = StorageCostConfig::default();
         let mut d = DurableStore::new(cfg(FsyncPolicy::EveryEntry, 1_000), 2);
+        let mut kv = KvEngine::new();
         for v in 1..=3u64 {
-            d.on_apply(0, v, write(v as u8), 64, &cost);
+            apply(&mut d, &mut kv, v, v as u8, 64, &cost);
         }
         assert_eq!(d.stats.wal_appends, 3);
         assert_eq!(d.stats.fsync_batches, 3);
@@ -330,20 +391,23 @@ mod tests {
     fn group_commit_leaves_an_unsynced_tail() {
         let cost = StorageCostConfig::default();
         let mut d = DurableStore::new(cfg(FsyncPolicy::Group(4), 1_000), 1);
+        let mut kv = KvEngine::new();
         for v in 1..=6u64 {
-            d.on_apply(0, v, write(v as u8), 64, &cost);
+            apply(&mut d, &mut kv, v, v as u8, 64, &cost);
         }
         // One fsync at 4 appends; records 5..6 are volatile.
         assert_eq!(d.stats.fsync_batches, 1);
         assert_eq!(d.durable_applied(0), 4);
 
-        let out = d.crash_and_recover(&cost);
+        let out = d.crash_and_recover(kv, &cost);
         assert_eq!(out.lost_tail_entries, 2);
         assert_eq!(out.replayed_entries, 4);
         assert_eq!(out.durable_applied, vec![4]);
         // Recovered engine holds exactly the synced writes.
         assert_eq!(out.kv.get_latest(&[4u8][..]).unwrap().value, &[4u8; 4][..]);
         assert!(out.kv.get_latest(&[5u8][..]).is_none());
+        assert_eq!(out.kv.next_version(), 5);
+        assert_eq!(out.kv.live_bytes(), 4 * 5);
     }
 
     #[test]
@@ -352,15 +416,14 @@ mod tests {
         let mut d = DurableStore::new(cfg(FsyncPolicy::Group(64), 3), 1);
         let mut kv = KvEngine::new();
         for v in 1..=3u64 {
-            kv.put_at(vec![v as u8], Some(vec![v as u8; 4]), v);
-            d.on_apply(0, v, write(v as u8), 64, &cost);
+            apply(&mut d, &mut kv, v, v as u8, 64, &cost);
         }
         // Third append crosses the cadence; the caller snapshots.
         assert!(d.maybe_snapshot(&kv, &cost).is_some());
         assert_eq!(d.stats.snapshots, 1);
         assert_eq!(d.durable_applied(0), 3, "snapshot covers the whole tail");
 
-        let out = d.crash_and_recover(&cost);
+        let out = d.crash_and_recover(kv, &cost);
         assert_eq!(out.replayed_entries, 0, "WAL was truncated by snapshot");
         assert_eq!(out.durable_applied, vec![3]);
         assert_eq!(out.kv.get_latest(&[2u8][..]).unwrap().value, &[2u8; 4][..]);
@@ -370,18 +433,20 @@ mod tests {
     fn recovery_replays_only_the_synced_prefix() {
         let cost = StorageCostConfig::default();
         let mut d = DurableStore::new(cfg(FsyncPolicy::Group(2), 1_000), 1);
+        let mut kv = KvEngine::new();
         for v in 1..=5u64 {
-            d.on_apply(0, v, write(v as u8), 100, &cost);
+            apply(&mut d, &mut kv, v, v as u8, 100, &cost);
         }
-        let out = d.crash_and_recover(&cost);
+        let out = d.crash_and_recover(kv, &cost);
         assert_eq!(out.replayed_entries, 4);
         assert_eq!(out.lost_tail_entries, 1);
         assert!(out.recovery_time > SimDuration::ZERO);
         assert!(out.replay_cpu > SimDuration::ZERO);
         // A second crash immediately after recovers the same state.
-        let again = d.crash_and_recover(&cost);
+        let again = d.crash_and_recover(out.kv.clone(), &cost);
         assert_eq!(again.durable_applied, out.durable_applied);
         assert_eq!(again.lost_tail_entries, 0);
+        assert_eq!(again.kv, out.kv);
     }
 
     #[test]
@@ -389,10 +454,9 @@ mod tests {
         let cost = StorageCostConfig::default();
         let mut d = DurableStore::new(cfg(FsyncPolicy::EveryEntry, 1_000), 1);
         assert_eq!(d.ssd_resident_bytes(), 0);
-        d.on_apply(0, 1, write(1), 128, &cost);
-        assert_eq!(d.ssd_resident_bytes(), 128);
         let mut kv = KvEngine::new();
-        kv.put_at(vec![1], Some(vec![1; 4]), 1);
+        apply(&mut d, &mut kv, 1, 1, 128, &cost);
+        assert_eq!(d.ssd_resident_bytes(), 128);
         d.snapshot_now(&kv, &cost);
         assert_eq!(d.ssd_resident_bytes(), kv.live_bytes());
     }

@@ -38,13 +38,30 @@ pub struct VersionedValue<'a> {
 
 /// The MVCC store. Single-threaded by design: concurrency in the simulation
 /// is modeled by the event kernel, not by host threads.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KvEngine {
     /// Per key: version entries in ascending version order.
     data: BTreeMap<Key, Vec<VersionEntry>>,
     next_version: u64,
     /// Logical bytes written over the engine's lifetime (cost accounting).
     bytes_written: u64,
+    /// [`KvEngine::live_bytes`], kept exact by every write and undo.
+    live_bytes: u64,
+}
+
+impl Default for KvEngine {
+    fn default() -> Self {
+        KvEngine::new()
+    }
+}
+
+/// Bytes one key contributes to [`KvEngine::live_bytes`] when `newest` is
+/// its newest entry.
+fn live_size(key: &[u8], newest: Option<&VersionEntry>) -> u64 {
+    match newest.and_then(|e| e.value.as_ref()) {
+        Some(value) => key.len() as u64 + value.len() as u64,
+        None => 0,
+    }
 }
 
 impl KvEngine {
@@ -53,6 +70,7 @@ impl KvEngine {
             data: BTreeMap::new(),
             next_version: 1,
             bytes_written: 0,
+            live_bytes: 0,
         }
     }
 
@@ -70,15 +88,17 @@ impl KvEngine {
     }
 
     /// Logical bytes of the live dataset: key plus latest non-tombstone
-    /// value per key. This is the size a full snapshot persists.
+    /// value per key. This is the size a full snapshot persists. O(1): the
+    /// writes and undos that change a key's newest entry keep it current.
     pub fn live_bytes(&self) -> u64 {
-        self.data
-            .iter()
-            .filter_map(|(k, vs)| {
-                let latest = vs.last()?.value.as_ref()?;
-                Some(k.len() as u64 + latest.len() as u64)
-            })
-            .sum()
+        self.live_bytes
+    }
+
+    /// [`KvEngine::live_bytes`] recomputed by a full scan, to check the
+    /// counter against.
+    #[cfg(test)]
+    fn scanned_live_bytes(&self) -> u64 {
+        self.data.iter().map(|(k, vs)| live_size(k, vs.last())).sum()
     }
 
     pub fn bytes_written(&self) -> u64 {
@@ -116,12 +136,57 @@ impl KvEngine {
     pub fn put_at(&mut self, key: Key, value: Option<Vec<u8>>, version: u64) {
         self.next_version = self.next_version.max(version + 1);
         self.bytes_written += value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
+        let entry = VersionEntry { version, value };
+        let added = live_size(&key, Some(&entry));
+        let key_len = key.len() as u64;
         let versions = self.data.entry(key).or_default();
         debug_assert!(
             versions.last().map(|l| l.version < version).unwrap_or(true),
             "out-of-order MVCC apply"
         );
-        versions.push(VersionEntry { version, value });
+        let replaced = match versions.last().and_then(|l| l.value.as_ref()) {
+            Some(old) => key_len + old.len() as u64,
+            None => 0,
+        };
+        self.live_bytes = self.live_bytes - replaced + added;
+        versions.push(entry);
+    }
+
+    /// Take back the newest write to `key`, which must carry `version`:
+    /// crash recovery pops a pod's un-fsynced WAL tail off its live engine,
+    /// newest first. Restores [`KvEngine::bytes_written`] and
+    /// [`KvEngine::live_bytes`], and drops the key once no entry is left.
+    /// Leaves `next_version` alone (see [`KvEngine::reset_next_version`]).
+    ///
+    /// # Panics
+    /// If the key's newest entry is not `version`, in release builds too:
+    /// the engine then holds state its WAL never saw.
+    pub fn undo_put_at(&mut self, key: &[u8], version: u64) {
+        let versions = self.data.get_mut(key);
+        let newest = versions.as_ref().and_then(|vs| vs.last()).map(|e| e.version);
+        assert!(
+            newest == Some(version),
+            "undo_put_at: newest entry of key {key:?} is {newest:?}, not the WAL record's \
+             version {version}; pod engines must never be gc'd and every pod mutation must \
+             go through durable_apply"
+        );
+        let versions = versions.expect("checked above");
+        let popped = versions.pop().expect("checked above");
+        if let Some(value) = &popped.value {
+            self.bytes_written -= value.len() as u64;
+            self.live_bytes -= key.len() as u64 + value.len() as u64;
+        }
+        if let Some(restored) = versions.last() {
+            self.live_bytes += live_size(key, Some(restored));
+        } else {
+            self.data.remove(key);
+        }
+    }
+
+    /// Set the version the next write will receive. Recovery uses this once
+    /// it has undone writes, so the counter matches what was kept.
+    pub(crate) fn reset_next_version(&mut self, next_version: u64) {
+        self.next_version = next_version;
     }
 
     /// Read the latest committed version of `key`.
@@ -500,6 +565,84 @@ mod tests {
         kv.gc(kv.next_version());
         assert_eq!(kv.version_entries(), 0);
         assert_eq!(kv.latest_version(b"a"), None);
+    }
+
+    #[test]
+    fn default_is_new() {
+        // Recovery of a pod with no snapshot starts from `Default`; it must
+        // hand out version 1 first, like `new()`.
+        assert_eq!(KvEngine::default(), KvEngine::new());
+        assert_eq!(KvEngine::default().next_version(), 1);
+    }
+
+    #[test]
+    fn live_bytes_counter_matches_scan_over_random_streams() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _case in 0..64 {
+            let mut kv = KvEngine::new();
+            for version in 1..=400u64 {
+                let k = vec![b'k', (next() % 24) as u8, 0, (next() % 3) as u8];
+                match next() % 10 {
+                    0..=4 => {
+                        let len = (next() % 40) as usize;
+                        kv.put_at(k, Some(vec![7; len]), version);
+                    }
+                    5 | 6 => kv.put_at(k, None, version),
+                    7 => {
+                        kv.gc(version.saturating_sub(next() % 50));
+                    }
+                    _ => {
+                        if let Some(newest) = kv.latest_version(&k) {
+                            let written = kv.bytes_written();
+                            let popped = kv.get_latest(&k).map(|v| v.value.len() as u64);
+                            kv.undo_put_at(&k, newest);
+                            assert_eq!(kv.bytes_written(), written - popped.unwrap_or(0));
+                        }
+                    }
+                }
+                assert_eq!(kv.live_bytes(), kv.scanned_live_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn undo_restores_the_previous_state_and_drops_emptied_keys() {
+        let mut kv = KvEngine::new();
+        kv.put_at(key("a"), Some(b"one".to_vec()), 3);
+        let before = kv.clone();
+        kv.put_at(key("a"), None, 5);
+        kv.put_at(key("b"), Some(b"two".to_vec()), 6);
+        kv.undo_put_at(b"b", 6);
+        kv.undo_put_at(b"a", 5);
+        kv.reset_next_version(before.next_version());
+        assert_eq!(kv, before);
+        kv.undo_put_at(b"a", 3);
+        kv.reset_next_version(1);
+        assert_eq!(kv, KvEngine::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "pod engines must never be gc'd")]
+    fn undo_of_a_version_that_is_not_newest_panics() {
+        let mut kv = KvEngine::new();
+        kv.put_at(key("a"), Some(b"one".to_vec()), 1);
+        kv.put_at(key("a"), Some(b"two".to_vec()), 2);
+        kv.undo_put_at(b"a", 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "every pod mutation must go through durable_apply")]
+    fn undo_of_a_missing_key_panics() {
+        let mut kv = KvEngine::new();
+        kv.undo_put_at(b"a", 1);
     }
 
     #[test]
