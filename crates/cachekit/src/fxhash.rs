@@ -14,7 +14,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
 
-/// FxHash: one multiply + rotate per word of input.
+/// FxHash: one multiply + rotate per word of input, and a folded multiply
+/// to finish a byte-slice write.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FxHasher {
     hash: u64,
@@ -45,6 +46,13 @@ impl Hasher for FxHasher {
             tail[..rest.len()].copy_from_slice(rest);
             self.add_to_hash(u64::from_le_bytes(tail) ^ rest.len() as u64);
         }
+        // A multiply only carries low bits upward, so the low bits the map
+        // indexes by would see only the low bits of the last word. Fold the
+        // product's high half back down. Integer writes keep the plain
+        // multiply: the TTL plane iterates an `FxHashMap<u64, _>` and its
+        // order must not move.
+        let folded = self.hash as u128 * SEED as u128;
+        self.hash = folded as u64 ^ (folded >> 64) as u64;
     }
 
     #[inline]
@@ -82,6 +90,7 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
 
     fn hash_bytes(b: &[u8]) -> u64 {
         let mut h = FxHasher::default();
@@ -103,6 +112,35 @@ mod tests {
             h.write_u64(i);
             assert!(seen.insert(h.finish()), "collision at {i}");
         }
+    }
+
+    /// Distinct values of the low 17 bits (a 128K-bucket table) over 100K
+    /// keys, hashed as a byte-keyed map hashes them.
+    fn low_bit_spread(keys: impl Iterator<Item = Vec<u8>>) -> usize {
+        let build = FxBuildHasher::default();
+        keys.map(|k| build.hash_one(k.as_slice()) & ((1 << 17) - 1))
+            .collect::<std::collections::HashSet<_>>()
+            .len()
+    }
+
+    #[test]
+    fn byte_keys_spread_over_the_low_bits() {
+        // The interner's `kv/<big-endian u64>` keys and netrpc's bare
+        // 8-byte keys; ~70K distinct values is what random hashes give.
+        let interned = low_bit_spread((0..100_000u64).map(|k| {
+            let mut key = b"kv/".to_vec();
+            key.extend_from_slice(&k.to_be_bytes());
+            key
+        }));
+        let bare = low_bit_spread((0..100_000u64).map(|k| k.to_be_bytes().to_vec()));
+        assert!(
+            interned >= 60_000,
+            "kv/<u64> keys: {interned} distinct low-bit values"
+        );
+        assert!(
+            bare >= 60_000,
+            "8-byte keys: {bare} distinct low-bit values"
+        );
     }
 
     #[test]

@@ -9,16 +9,23 @@
 //! `format!`, or boxed closure back into the hit path fails here with the
 //! allocation count, not as a silent throughput regression.
 //!
-//! The gate counts *allocations* (not frees), is enabled only around the
-//! measured window, and the test binary contains this test alone so no
-//! sibling thread can pollute the counter.
+//! A second gate pins the storage tier's bulk load: a stored key costs no
+//! heap object of its own, so loading a row into every replica takes a
+//! small constant number of allocations (B-tree nodes and the load's
+//! run buffers), not several per replica.
+//!
+//! The gates count *allocations* (not frees), are enabled only around the
+//! measured window, and hold one lock for their whole run so no sibling
+//! test thread can pollute the counter.
 
 use dcache::deployment::{kv_catalog, Deployment};
 use dcache::{ArchKind, DeploymentConfig};
 use simnet::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use storekit::value::Datum;
+use storekit::SqlCluster;
 
 struct CountingAlloc;
 
@@ -54,6 +61,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Held by each gate for its whole run: one counter, one test at a time.
+static GATE: Mutex<()> = Mutex::new(());
 
 const KEYS: i64 = 32;
 
@@ -98,6 +108,7 @@ fn count_hit_path_allocs(d: &mut Deployment, rounds: usize) -> u64 {
 
 #[test]
 fn steady_state_cache_hit_reads_allocate_nothing() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     // Linked: the paper's cheapest path (in-process cache hit) and the one
     // fig_scale hammers hardest. Remote: hit served by a cache-tier node.
     for arch in [ArchKind::Linked, ArchKind::Remote] {
@@ -110,4 +121,37 @@ fn steady_state_cache_hit_reads_allocate_nothing() {
              (expected 0 steady-state allocations per request)"
         );
     }
+}
+
+#[test]
+fn bulk_load_allocates_at_most_two_objects_per_row() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    const ROWS: i64 = 10_000;
+    // The paper's storage tier: 3 pods, every key on all three replicas.
+    let config = DeploymentConfig::paper(ArchKind::Base).cluster;
+    let mut cluster = SqlCluster::new(kv_catalog("kv"), config);
+    // Rows are built outside the window: the gate counts the load's own
+    // allocations, not the caller's.
+    let rows: Vec<Vec<Datum>> = (0..ROWS)
+        .map(|k| {
+            vec![
+                Datum::Int(k),
+                Datum::Payload {
+                    len: 1_024,
+                    seed: 0,
+                },
+            ]
+        })
+        .collect();
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let loaded = cluster.bulk_load("kv", rows);
+    COUNTING.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(loaded.unwrap(), ROWS as usize);
+    let per_row = allocs as f64 / ROWS as f64;
+    assert!(
+        per_row <= 2.0,
+        "bulk_load made {allocs} allocations for {ROWS} rows ({per_row:.2} per row, gate 2)"
+    );
 }

@@ -17,7 +17,7 @@ use crate::block::{BlockCache, BlockConfig};
 use crate::cost::StorageCostConfig;
 use crate::durability::{DurabilityConfig, DurabilityStats, DurableStore};
 use crate::error::{StoreError, StoreResult};
-use crate::kv::{index_prefix, record_key, record_key_into, record_prefix, KvEngine};
+use crate::kv::{index_key, index_prefix, record_key_into, record_prefix, FlatBytes, KvEngine};
 use crate::raft::{LogEntry, RaftGroup};
 use crate::row::Row;
 use crate::schema::Catalog;
@@ -259,7 +259,7 @@ impl SqlCluster {
                 let pod = region.replicas[op.slot];
                 let storage = &mut self.storages[pod];
                 for m in &entry.batch.mutations {
-                    storage.kv.put_at(m.key.clone(), m.value.clone(), entry.version);
+                    storage.kv.put_at(&m.key, m.value.as_deref(), entry.version);
                 }
                 let cost = self.config.cost.raft_follower_cost(entry.bytes);
                 storage.cpu.charge(CpuCategory::Replication, cost);
@@ -351,40 +351,66 @@ impl SqlCluster {
     /// CPU accounting — the "restore from backup" primitive experiments use
     /// to seed datasets. Rows are validated, indexed and replicated exactly
     /// as SQL inserts would be. Returns the number of rows loaded.
+    ///
+    /// Each row is encoded once into one sorted run of entries, and every
+    /// pod builds its engine from the entries of the regions it hosts (see
+    /// [`KvEngine::load_sorted`]). A row that fails validation ends the
+    /// load: the rows before it stay loaded, as if inserted one by one.
     pub fn bulk_load<I>(&mut self, table: &str, rows: I) -> StoreResult<usize>
     where
         I: IntoIterator<Item = Vec<Datum>>,
     {
+        struct LoadEntry {
+            key: FlatBytes,
+            version: u64,
+            value: FlatBytes,
+            region: usize,
+        }
         let schema = self.catalog.get(table)?.clone();
+        let mut run: Vec<LoadEntry> = Vec::new();
+        let mut record = Vec::new();
+        let mut encoded = Vec::new();
         let mut count = 0usize;
+        let mut invalid = Ok(());
         for values in rows {
-            let row = crate::row::Row(values);
-            schema.validate(&row)?;
-            let pk = schema.pk_of(&row).clone();
+            let row = Row(values);
+            if let Err(e) = schema.validate(&row) {
+                invalid = Err(e);
+                break;
+            }
+            let pk = schema.pk_of(&row);
             self.tso += 1;
             let version = self.tso;
-            let record = record_key(table, &pk);
-            let encoded = row.encode();
-            let mut keys: Vec<(Vec<u8>, Option<Vec<u8>>)> =
-                vec![(record.clone(), Some(encoded))];
+            record_key_into(&mut record, table, pk);
+            row.encode_into(&mut encoded);
             for &col in &schema.indexes {
-                let ik = crate::kv::index_key(
-                    table,
-                    col,
-                    row.get(col).unwrap_or(&Datum::Null),
-                    &pk,
-                );
-                keys.push((ik, Some(record.clone())));
+                let ik = index_key(table, col, row.get(col).unwrap_or(&Datum::Null), pk);
+                run.push(LoadEntry {
+                    region: self.region_of(&ik),
+                    key: FlatBytes::new(&ik),
+                    version,
+                    value: FlatBytes::new(&record),
+                });
             }
-            for (key, value) in keys {
-                let region = self.region_of(&key);
-                let members = self.regions[region].replicas.clone();
-                for pod in members {
-                    self.storages[pod].kv.put_at(key.clone(), value.clone(), version);
-                }
-            }
+            run.push(LoadEntry {
+                region: self.region_of(&record),
+                key: FlatBytes::new(&record),
+                version,
+                value: FlatBytes::new(&encoded),
+            });
             count += 1;
         }
+        // Stable: a key loaded twice keeps its versions ascending.
+        run.sort_by(|a, b| a.key.cmp(&b.key));
+        for (pod, storage) in self.storages.iter_mut().enumerate() {
+            let regions = &self.regions;
+            storage.kv.load_sorted(
+                run.iter()
+                    .filter(|e| regions[e.region].replicas.contains(&pod))
+                    .map(|e| (e.key.as_slice(), e.version, e.value.as_slice())),
+            );
+        }
+        invalid?;
         // A restore-from-backup lands durable: snapshot each pod so the
         // loaded dataset survives crashes without replaying a giant WAL.
         // Like the load itself, this charges no CPU.
@@ -600,7 +626,7 @@ impl SqlCluster {
                 let pod = region.replicas[op.slot];
                 let storage = &mut self.storages[pod];
                 for m in &entry.batch.mutations {
-                    storage.kv.put_at(m.key.clone(), m.value.clone(), entry.version);
+                    storage.kv.put_at(&m.key, m.value.as_deref(), entry.version);
                 }
                 let kv_cost = SimDuration::from_micros_f64(
                     self.config.cost.kv_write_us * entry.batch.mutations.len() as f64,
@@ -763,7 +789,7 @@ fn durable_apply(
     if !config.durability.enabled() {
         return SimDuration::ZERO;
     }
-    let keys = entry.batch.mutations.iter().map(|m| m.key.clone()).collect();
+    let keys = entry.batch.mutations.iter().map(|m| m.key.as_slice());
     let wal_cpu = durable.on_apply_keys(region, entry.version, keys, entry.bytes, &config.cost);
     storage.cpu.charge(CpuCategory::Replication, wal_cpu);
     let mut total = wal_cpu;
@@ -923,17 +949,17 @@ impl RowStore for ClusterRowStore<'_> {
         let mut record_keys = Vec::new();
         for region_idx in 0..self.region_count {
             let pod = self.regions[region_idx].leader()?;
-            let hits: Vec<(Vec<u8>, Vec<u8>)> = self.storages[pod]
+            let hits: Vec<Vec<u8>> = self.storages[pod]
                 .kv
                 .scan_between(&start, end.as_deref(), u64::MAX)
                 .filter(|(k, _)| {
                     (stable_hash(k) % self.region_count as u64) as usize == region_idx
                 })
-                .map(|(k, v)| (k.clone(), v.value.to_vec()))
+                .map(|(_, v)| v.value.to_vec())
                 .collect();
             self.charge_row_read(pod, &start, 32 * hits.len() as u64, hits.len().max(1) as u64);
             self.charge_fetch_rpc(pod, 40 * hits.len() as u64);
-            record_keys.extend(hits.into_iter().map(|(_, rk)| rk));
+            record_keys.extend(hits);
         }
         record_keys.sort();
         record_keys.dedup();
@@ -956,7 +982,7 @@ impl RowStore for ClusterRowStore<'_> {
                 .filter(|(k, _)| {
                     (stable_hash(k) % self.region_count as u64) as usize == region_idx
                 })
-                .map(|(k, v)| (k.clone(), v.value.to_vec(), v.version))
+                .map(|(k, v)| (k.to_vec(), v.value.to_vec(), v.version))
                 .collect();
             let mut region_bytes = 0u64;
             for (key, bytes, version) in hits {
@@ -982,7 +1008,7 @@ impl RowStore for ClusterRowStore<'_> {
                 .filter(|(k, _)| {
                     (stable_hash(k) % self.region_count as u64) as usize == region_idx
                 })
-                .map(|(k, v)| (k.clone(), v.value.to_vec(), v.version))
+                .map(|(k, v)| (k.to_vec(), v.value.to_vec(), v.version))
                 .collect();
             let mut region_bytes = 0u64;
             for (key, bytes, version) in hits {
@@ -1001,6 +1027,7 @@ impl RowStore for ClusterRowStore<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::record_key;
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
 
     fn catalog() -> Catalog {

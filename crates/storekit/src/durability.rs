@@ -32,7 +32,7 @@
 //! simulated charges are those of a real snapshot load plus WAL replay.
 
 use crate::cost::StorageCostConfig;
-use crate::kv::{Key, KvEngine};
+use crate::kv::{FlatBytes, KvEngine};
 use serde::{Deserialize, Serialize};
 use simnet::SimDuration;
 
@@ -135,12 +135,14 @@ impl DurabilityStats {
 
 /// One WAL record: the keys one raft entry wrote at this pod. The values
 /// live in the pod's engine; recovery needs only the keys to undo a record.
+/// Keys are stored as the engine stores them, so a short key costs no heap
+/// object of its own.
 #[derive(Debug, Clone)]
 struct WalRecord {
     region: usize,
     version: u64,
     bytes: u64,
-    keys: Vec<Key>,
+    keys: Vec<FlatBytes>,
 }
 
 /// What a recovery rebuilt and what it cost.
@@ -219,17 +221,17 @@ impl DurableStore {
         bytes: u64,
         cost: &StorageCostConfig,
     ) -> SimDuration {
-        let keys = writes.into_iter().map(|(key, _)| key).collect();
+        let keys = writes.iter().map(|(key, _)| key.as_slice());
         self.on_apply_keys(region, version, keys, bytes, cost)
     }
 
     /// [`DurableStore::on_apply`] for an entry that wrote `keys`, in the
     /// order it applied them to the pod's engine at `version`.
-    pub(crate) fn on_apply_keys(
+    pub(crate) fn on_apply_keys<'k>(
         &mut self,
         region: usize,
         version: u64,
-        keys: Vec<Key>,
+        keys: impl IntoIterator<Item = &'k [u8]>,
         bytes: u64,
         cost: &StorageCostConfig,
     ) -> SimDuration {
@@ -237,7 +239,7 @@ impl DurableStore {
             region,
             version,
             bytes,
-            keys,
+            keys: keys.into_iter().map(FlatBytes::new).collect(),
         });
         self.tail_applied[region] += 1;
         self.appends_since_snapshot += 1;
@@ -296,7 +298,7 @@ impl DurableStore {
         let lost = (self.wal.len() - self.synced) as u64;
         for rec in self.wal.drain(self.synced..).rev() {
             for key in rec.keys.iter().rev() {
-                image.undo_put_at(key, rec.version);
+                image.undo_put_at(key.as_slice(), rec.version);
             }
         }
         for (region, tail) in self.tail_applied.iter_mut().enumerate() {

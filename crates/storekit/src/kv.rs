@@ -13,20 +13,152 @@
 //! t/<table>/<pk>          -> encoded row          (record space)
 //! i/<table>/<col>/<val>/<pk> -> ""                (index space)
 //! ```
+//!
+//! # Entry layout
+//!
+//! Every storage pod holds a replica of every key it hosts, so the per-key
+//! layout sets both the simulator's memory and its allocator traffic. A key
+//! and a value up to [`INLINE_BYTES`] long are stored inside the B-tree
+//! entry itself (`FlatBytes`); longer ones take one heap object. A key's
+//! newest version is stored inline too, and only older versions go in a
+//! `Vec`, which stays unallocated while a key has one version. A record key
+//! (14 bytes for an integer key) with a `Payload` row (28 bytes) therefore
+//! costs no heap object of its own: only its share of a B-tree node.
 
 use crate::value::Datum;
-use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::ops::Bound;
 
 /// A raw storage key.
 pub type Key = Vec<u8>;
 
+/// Longest key or value an entry stores inline; longer ones go on the heap.
+/// 30 makes an inline string 32 bytes: a tag byte, a length byte and the
+/// buffer. The heap form, a tag and a boxed slice, fits in the same 32.
+pub const INLINE_BYTES: usize = 30;
+
+/// A byte string as an entry stores it: inline up to [`INLINE_BYTES`], else
+/// one boxed slice. Which form a string takes depends only on its length,
+/// so equal strings have equal forms.
+#[derive(Clone)]
+pub(crate) enum FlatBytes {
+    Inline { len: u8, buf: [u8; INLINE_BYTES] },
+    Heap(Box<[u8]>),
+}
+
+const _: () = assert!(std::mem::size_of::<FlatBytes>() == 32);
+
+impl FlatBytes {
+    pub(crate) fn new(bytes: &[u8]) -> Self {
+        if bytes.len() <= INLINE_BYTES {
+            let mut buf = [0u8; INLINE_BYTES];
+            buf[..bytes.len()].copy_from_slice(bytes);
+            FlatBytes::Inline {
+                len: bytes.len() as u8,
+                buf,
+            }
+        } else {
+            FlatBytes::Heap(bytes.into())
+        }
+    }
+
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        match self {
+            FlatBytes::Inline { len, buf } => &buf[..*len as usize],
+            FlatBytes::Heap(b) => b,
+        }
+    }
+}
+
+impl Borrow<[u8]> for FlatBytes {
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for FlatBytes {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for FlatBytes {}
+
+impl PartialOrd for FlatBytes {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for FlatBytes {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl fmt::Debug for FlatBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
 /// One MVCC version: the commit version and the value (`None` = tombstone).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct VersionEntry {
     version: u64,
-    value: Option<Vec<u8>>,
+    value: Option<FlatBytes>,
+}
+
+impl VersionEntry {
+    fn new(version: u64, value: Option<&[u8]>) -> Self {
+        VersionEntry {
+            version,
+            value: value.map(FlatBytes::new),
+        }
+    }
+
+    fn read(&self) -> Option<VersionedValue<'_>> {
+        self.value.as_ref().map(|value| VersionedValue {
+            value: value.as_slice(),
+            version: self.version,
+        })
+    }
+}
+
+/// All versions of one key: the newest inline, older ones ascending.
+#[derive(Debug, Clone, PartialEq)]
+struct Versions {
+    newest: VersionEntry,
+    /// Versions older than `newest`, ascending. Unallocated for a key
+    /// written once.
+    older: Vec<VersionEntry>,
+}
+
+impl Versions {
+    fn new(newest: VersionEntry) -> Self {
+        Versions {
+            newest,
+            older: Vec::new(),
+        }
+    }
+
+    /// The newest entry at or below `snapshot`.
+    fn at(&self, snapshot: u64) -> Option<&VersionEntry> {
+        if self.newest.version <= snapshot {
+            return Some(&self.newest);
+        }
+        let idx = self.older.partition_point(|v| v.version <= snapshot);
+        idx.checked_sub(1).map(|i| &self.older[i])
+    }
+
+    /// Make `entry` the newest version.
+    fn push(&mut self, entry: VersionEntry) {
+        let previous = std::mem::replace(&mut self.newest, entry);
+        self.older.push(previous);
+    }
 }
 
 /// Result of a successful versioned read.
@@ -38,10 +170,9 @@ pub struct VersionedValue<'a> {
 
 /// The MVCC store. Single-threaded by design: concurrency in the simulation
 /// is modeled by the event kernel, not by host threads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvEngine {
-    /// Per key: version entries in ascending version order.
-    data: BTreeMap<Key, Vec<VersionEntry>>,
+    data: BTreeMap<FlatBytes, Versions>,
     next_version: u64,
     /// Logical bytes written over the engine's lifetime (cost accounting).
     bytes_written: u64,
@@ -57,11 +188,22 @@ impl Default for KvEngine {
 
 /// Bytes one key contributes to [`KvEngine::live_bytes`] when `newest` is
 /// its newest entry.
-fn live_size(key: &[u8], newest: Option<&VersionEntry>) -> u64 {
-    match newest.and_then(|e| e.value.as_ref()) {
-        Some(value) => key.len() as u64 + value.len() as u64,
+fn live_size(key: &[u8], newest: &VersionEntry) -> u64 {
+    match &newest.value {
+        Some(value) => key.len() as u64 + value.as_slice().len() as u64,
         None => 0,
     }
+}
+
+/// A live entry of a scan at `snapshot`, if the key has one.
+fn scan_hit<'a>(
+    (key, versions): (&'a FlatBytes, &'a Versions),
+    snapshot: u64,
+) -> Option<(&'a [u8], VersionedValue<'a>)> {
+    versions
+        .at(snapshot)
+        .and_then(VersionEntry::read)
+        .map(|v| (key.as_slice(), v))
 }
 
 impl KvEngine {
@@ -78,13 +220,13 @@ impl KvEngine {
     pub fn live_keys(&self) -> usize {
         self.data
             .values()
-            .filter(|vs| vs.last().map(|v| v.value.is_some()).unwrap_or(false))
+            .filter(|vs| vs.newest.value.is_some())
             .count()
     }
 
     /// Total version entries retained (for GC tests).
     pub fn version_entries(&self) -> usize {
-        self.data.values().map(|v| v.len()).sum()
+        self.data.values().map(|vs| 1 + vs.older.len()).sum()
     }
 
     /// Logical bytes of the live dataset: key plus latest non-tombstone
@@ -98,7 +240,10 @@ impl KvEngine {
     /// counter against.
     #[cfg(test)]
     fn scanned_live_bytes(&self) -> u64 {
-        self.data.iter().map(|(k, vs)| live_size(k, vs.last())).sum()
+        self.data
+            .iter()
+            .map(|(k, vs)| live_size(k.as_slice(), &vs.newest))
+            .sum()
     }
 
     pub fn bytes_written(&self) -> u64 {
@@ -126,30 +271,89 @@ impl KvEngine {
     /// Delete `key` (tombstone), returning the commit version.
     pub fn delete(&mut self, key: Key) -> u64 {
         let version = self.allocate_version();
-        self.put_at(key, None, version);
+        self.put_at(key, None::<&[u8]>, version);
         version
     }
 
     /// Apply a write at an explicit version — used by Raft followers
     /// replaying the leader's log so replicas converge on identical state.
-    /// Versions must be applied in increasing order per key.
-    pub fn put_at(&mut self, key: Key, value: Option<Vec<u8>>, version: u64) {
+    /// Versions must be applied in increasing order per key. Key and value
+    /// are borrowed: the engine copies them into its own entry, so every
+    /// replica can apply straight from the one raft entry.
+    pub fn put_at<K, V>(&mut self, key: K, value: Option<V>, version: u64)
+    where
+        K: AsRef<[u8]>,
+        V: AsRef<[u8]>,
+    {
+        let key = key.as_ref();
+        let value = value.as_ref().map(|v| v.as_ref());
         self.next_version = self.next_version.max(version + 1);
-        self.bytes_written += value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
-        let entry = VersionEntry { version, value };
-        let added = live_size(&key, Some(&entry));
-        let key_len = key.len() as u64;
-        let versions = self.data.entry(key).or_default();
-        debug_assert!(
-            versions.last().map(|l| l.version < version).unwrap_or(true),
-            "out-of-order MVCC apply"
-        );
-        let replaced = match versions.last().and_then(|l| l.value.as_ref()) {
-            Some(old) => key_len + old.len() as u64,
-            None => 0,
+        self.bytes_written += value.map(|v| v.len() as u64).unwrap_or(0);
+        let entry = VersionEntry::new(version, value);
+        let added = live_size(key, &entry);
+        let replaced = match self.data.get_mut(key) {
+            Some(versions) => {
+                debug_assert!(versions.newest.version < version, "out-of-order MVCC apply");
+                let replaced = live_size(key, &versions.newest);
+                versions.push(entry);
+                replaced
+            }
+            None => {
+                self.data.insert(FlatBytes::new(key), Versions::new(entry));
+                0
+            }
         };
         self.live_bytes = self.live_bytes - replaced + added;
-        versions.push(entry);
+    }
+
+    /// Load a run of values sorted by key, then by strictly increasing
+    /// version per key — the same state as [`KvEngine::put_at`] on each,
+    /// in any order. An empty engine is built in one pass from the run
+    /// (`BTreeMap::from_iter` over the grouped keys), which fills every
+    /// B-tree node instead of splitting them; otherwise each write takes
+    /// the per-key path.
+    ///
+    /// # Panics
+    /// If the run is not sorted that way.
+    pub fn load_sorted<K, V>(&mut self, run: impl IntoIterator<Item = (K, u64, V)>)
+    where
+        K: AsRef<[u8]>,
+        V: AsRef<[u8]>,
+    {
+        if !self.data.is_empty() {
+            for (key, version, value) in run {
+                self.put_at(key, Some(value), version);
+            }
+            return;
+        }
+        let mut grouped: Vec<(FlatBytes, Versions)> = Vec::new();
+        for (key, version, value) in run {
+            let (key, value) = (key.as_ref(), value.as_ref());
+            self.next_version = self.next_version.max(version + 1);
+            self.bytes_written += value.len() as u64;
+            let entry = VersionEntry::new(version, Some(value));
+            match grouped.last_mut() {
+                Some((last, versions)) if last.as_slice() == key => {
+                    assert!(
+                        versions.newest.version < version,
+                        "load_sorted: versions out of order"
+                    );
+                    versions.push(entry);
+                }
+                last => {
+                    assert!(
+                        last.is_none_or(|(k, _)| k.as_slice() < key),
+                        "load_sorted: keys out of order"
+                    );
+                    grouped.push((FlatBytes::new(key), Versions::new(entry)));
+                }
+            }
+        }
+        self.live_bytes = grouped
+            .iter()
+            .map(|(k, vs)| live_size(k.as_slice(), &vs.newest))
+            .sum();
+        self.data = grouped.into_iter().collect();
     }
 
     /// Take back the newest write to `key`, which must carry `version`:
@@ -163,7 +367,7 @@ impl KvEngine {
     /// the engine then holds state its WAL never saw.
     pub fn undo_put_at(&mut self, key: &[u8], version: u64) {
         let versions = self.data.get_mut(key);
-        let newest = versions.as_ref().and_then(|vs| vs.last()).map(|e| e.version);
+        let newest = versions.as_ref().map(|vs| vs.newest.version);
         assert!(
             newest == Some(version),
             "undo_put_at: newest entry of key {key:?} is {newest:?}, not the WAL record's \
@@ -171,15 +375,22 @@ impl KvEngine {
              go through durable_apply"
         );
         let versions = versions.expect("checked above");
-        let popped = versions.pop().expect("checked above");
-        if let Some(value) = &popped.value {
-            self.bytes_written -= value.len() as u64;
-            self.live_bytes -= key.len() as u64 + value.len() as u64;
+        if let Some(value) = &versions.newest.value {
+            let len = value.as_slice().len() as u64;
+            self.bytes_written -= len;
+            self.live_bytes -= key.len() as u64 + len;
         }
-        if let Some(restored) = versions.last() {
-            self.live_bytes += live_size(key, Some(restored));
-        } else {
-            self.data.remove(key);
+        match versions.older.pop() {
+            Some(restored) => {
+                self.live_bytes += live_size(key, &restored);
+                versions.newest = restored;
+                if versions.older.is_empty() {
+                    versions.older = Vec::new();
+                }
+            }
+            None => {
+                self.data.remove(key);
+            }
         }
     }
 
@@ -191,28 +402,19 @@ impl KvEngine {
 
     /// Read the latest committed version of `key`.
     pub fn get_latest(&self, key: &[u8]) -> Option<VersionedValue<'_>> {
-        self.get_at(key, u64::MAX)
+        self.data.get(key)?.newest.read()
     }
 
     /// Read `key` at `snapshot`: the newest version ≤ snapshot. Tombstones
     /// return `None`.
     pub fn get_at(&self, key: &[u8], snapshot: u64) -> Option<VersionedValue<'_>> {
-        let versions = self.data.get(key)?;
-        let idx = versions.partition_point(|v| v.version <= snapshot);
-        if idx == 0 {
-            return None;
-        }
-        let entry = &versions[idx - 1];
-        entry.value.as_deref().map(|value| VersionedValue {
-            value,
-            version: entry.version,
-        })
+        self.data.get(key)?.at(snapshot)?.read()
     }
 
     /// The latest version number recorded for `key`, even if a tombstone —
     /// this is what a version check compares against.
     pub fn latest_version(&self, key: &[u8]) -> Option<u64> {
-        self.data.get(key).and_then(|v| v.last()).map(|v| v.version)
+        self.data.get(key).map(|vs| vs.newest.version)
     }
 
     /// Scan live entries whose key starts with `prefix`, at `snapshot`, in
@@ -221,22 +423,11 @@ impl KvEngine {
         &'a self,
         prefix: &'a [u8],
         snapshot: u64,
-    ) -> impl Iterator<Item = (&'a Key, VersionedValue<'a>)> + 'a {
-        let start: Key = prefix.to_vec();
+    ) -> impl Iterator<Item = (&'a [u8], VersionedValue<'a>)> + 'a {
         self.data
-            .range((Bound::Included(start), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .filter_map(move |(k, versions)| {
-                let idx = versions.partition_point(|v| v.version <= snapshot);
-                if idx == 0 {
-                    return None;
-                }
-                let entry = &versions[idx - 1];
-                entry
-                    .value
-                    .as_deref()
-                    .map(|value| (k, VersionedValue { value, version: entry.version }))
-            })
+            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(k, _)| k.as_slice().starts_with(prefix))
+            .filter_map(move |hit| scan_hit(hit, snapshot))
     }
 
     /// Scan live entries with keys in `[start, end_exclusive)` (unbounded
@@ -246,25 +437,11 @@ impl KvEngine {
         start: &[u8],
         end_exclusive: Option<&'a [u8]>,
         snapshot: u64,
-    ) -> impl Iterator<Item = (&'a Key, VersionedValue<'a>)> + 'a {
-        let lower = Bound::Included(start.to_vec());
+    ) -> impl Iterator<Item = (&'a [u8], VersionedValue<'a>)> + 'a {
         self.data
-            .range((lower, Bound::Unbounded))
-            .take_while(move |(k, _)| match end_exclusive {
-                Some(end) => k.as_slice() < end,
-                None => true,
-            })
-            .filter_map(move |(k, versions)| {
-                let idx = versions.partition_point(|v| v.version <= snapshot);
-                if idx == 0 {
-                    return None;
-                }
-                let entry = &versions[idx - 1];
-                entry
-                    .value
-                    .as_deref()
-                    .map(|value| (k, VersionedValue { value, version: entry.version }))
-            })
+            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
+            .take_while(move |(k, _)| end_exclusive.is_none_or(|end| k.as_slice() < end))
+            .filter_map(move |hit| scan_hit(hit, snapshot))
     }
 
     /// Garbage-collect versions strictly older than `keep_after`, always
@@ -273,15 +450,16 @@ impl KvEngine {
     pub fn gc(&mut self, keep_after: u64) -> usize {
         let mut reclaimed = 0;
         self.data.retain(|_, versions| {
-            let keep_from = versions
-                .partition_point(|v| v.version < keep_after)
-                .min(versions.len() - 1);
-            reclaimed += keep_from;
-            versions.drain(..keep_from);
+            let old = versions.older.partition_point(|v| v.version < keep_after);
+            reclaimed += old;
+            versions.older.drain(..old);
+            if versions.older.is_empty() {
+                versions.older = Vec::new();
+            }
             // Drop the key entirely if all that remains is an old tombstone.
-            let last = versions.last().expect("at least one version retained");
-            if last.value.is_none() && last.version < keep_after {
-                reclaimed += versions.len();
+            let newest = &versions.newest;
+            if newest.value.is_none() && newest.version < keep_after {
+                reclaimed += 1 + versions.older.len();
                 false
             } else {
                 true
@@ -528,7 +706,7 @@ mod tests {
         kv.delete(key("t/users/b"));
         let hits: Vec<_> = kv
             .scan_prefix(b"t/users/", u64::MAX)
-            .map(|(k, v)| (k.clone(), v.value.to_vec()))
+            .map(|(k, v)| (k.to_vec(), v.value.to_vec()))
             .collect();
         assert_eq!(hits, vec![(key("t/users/a"), b"1".to_vec())]);
     }
@@ -595,7 +773,7 @@ mod tests {
                         let len = (next() % 40) as usize;
                         kv.put_at(k, Some(vec![7; len]), version);
                     }
-                    5 | 6 => kv.put_at(k, None, version),
+                    5 | 6 => kv.put_at(k, None::<&[u8]>, version),
                     7 => {
                         kv.gc(version.saturating_sub(next() % 50));
                     }
@@ -618,7 +796,7 @@ mod tests {
         let mut kv = KvEngine::new();
         kv.put_at(key("a"), Some(b"one".to_vec()), 3);
         let before = kv.clone();
-        kv.put_at(key("a"), None, 5);
+        kv.put_at(key("a"), None::<&[u8]>, 5);
         kv.put_at(key("b"), Some(b"two".to_vec()), 6);
         kv.undo_put_at(b"b", 6);
         kv.undo_put_at(b"a", 5);

@@ -41,9 +41,31 @@ impl Row {
         2 + self.0.iter().map(|d| d.encoded_size()).sum::<u64>()
     }
 
+    /// Physical length of [`Row::encode`]'s output: [`Row::encoded_size`]
+    /// with each `Payload` at its 17 encoded bytes, not its declared length.
+    fn physical_size(&self) -> usize {
+        2 + self
+            .0
+            .iter()
+            .map(|d| match d {
+                Datum::Payload { .. } => 17,
+                d => d.encoded_size() as usize,
+            })
+            .sum::<usize>()
+    }
+
     /// Encode to the binary wire/storage format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_size() as usize);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`Row::encode`] into a caller-owned buffer (cleared first), so a bulk
+    /// load can reuse one scratch allocation across rows.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve_exact(self.physical_size());
         out.extend_from_slice(&(self.0.len() as u16).to_le_bytes());
         for d in &self.0 {
             match d {
@@ -77,7 +99,6 @@ impl Row {
                 }
             }
         }
-        out
     }
 
     /// Decode from the binary format.
@@ -180,6 +201,23 @@ mod tests {
         let row = sample();
         assert_eq!(row.encoded_size(), row.encode().len() as u64);
         assert_eq!(Row::default().encoded_size(), 2);
+    }
+
+    #[test]
+    fn physical_size_matches_encoding_for_every_variant() {
+        let mut row = sample();
+        row.0.push(Datum::Payload {
+            len: 1_024,
+            seed: 7,
+        });
+        let encoded = row.encode();
+        assert_eq!(row.physical_size(), encoded.len());
+        // `encode` reserves exactly what it writes, not the logical size.
+        assert_eq!(encoded.capacity(), encoded.len());
+        assert!(row.encoded_size() > encoded.len() as u64);
+        let mut reused = vec![9; 4];
+        row.encode_into(&mut reused);
+        assert_eq!(reused, encoded);
     }
 
     #[test]

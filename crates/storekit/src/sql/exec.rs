@@ -520,10 +520,8 @@ impl MemStore {
     pub fn apply(&mut self, batch: &WriteBatch) -> u64 {
         let mut row_version = 0;
         for (i, m) in batch.mutations.iter().enumerate() {
-            let v = match &m.value {
-                Some(bytes) => self.kv.put(m.key.clone(), bytes.clone()),
-                None => self.kv.delete(m.key.clone()),
-            };
+            let v = self.kv.next_version();
+            self.kv.put_at(&m.key, m.value.as_deref(), v);
             if i == 0 {
                 row_version = v;
             }
