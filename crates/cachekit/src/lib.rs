@@ -19,6 +19,8 @@
 //!   across application servers (§2.4: "linked caches are typically
 //!   sharded"),
 //! * [`sharded::ShardedCache`] — a cache partitioned over a ring,
+//! * [`flat::FlatBytes`] — byte strings stored inline when short, shared by
+//!   the key interner and the storage tier's MVCC engine,
 //! * [`mrc`] — miss-ratio-curve estimation, both analytic (Zipfian) and
 //!   trace-driven (Mattson stack distances), feeding the §4 theoretical
 //!   model.
@@ -28,6 +30,7 @@
 
 pub mod admission;
 pub mod cache;
+pub mod flat;
 pub mod fxhash;
 pub mod intern;
 pub mod l0;
@@ -40,6 +43,7 @@ pub mod stats;
 
 pub use admission::TinyLfu;
 pub use cache::{Cache, CacheKeyHash, InsertOutcome};
+pub use flat::{FlatBytes, INLINE_BYTES};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use intern::{InternedKey, KeyInterner};
 pub use l0::{L0Cache, L0Hit, L0Mode, L0Params, L0Stats};

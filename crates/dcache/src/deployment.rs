@@ -300,7 +300,10 @@ pub struct Deployment {
     /// Per-table KV statements parsed + planned once (first use) and reused
     /// on every serve — a wall-clock-only optimization: cached executions
     /// charge exactly what `SqlCluster::execute` would for the same text.
-    sql_stmts: HashMap<String, TableSql>,
+    /// One entry per catalog table from the start, so a serve resolves its
+    /// statement with one FxHash lookup (table names are the program's own
+    /// schema, not outside input).
+    sql_stmts: cachekit::FxHashMap<String, TableSql>,
     /// Byte key ↔ interned id table shared by every cache/routing layer.
     /// An interned key carries the same hashes the byte key produced, so
     /// interning changes wall-clock only — never simulated behaviour.
@@ -344,6 +347,10 @@ pub fn cache_node_id(i: usize) -> NodeId {
 impl Deployment {
     /// Build a deployment serving data described by `catalog`.
     pub fn new(config: DeploymentConfig, catalog: Catalog) -> Self {
+        let sql_stmts = catalog
+            .table_names()
+            .map(|t| (t.to_string(), TableSql::default()))
+            .collect();
         let cluster = SqlCluster::new(catalog, config.cluster.clone());
         let build_cache = |capacity: u64| {
             let cache = Cache::new(capacity, config.cache_policy);
@@ -408,7 +415,7 @@ impl Deployment {
             tracer: Tracer::disabled(),
             elastic: elastic::ElasticController::new(config.elastic),
             ttl: vec![elastic::TtlController::new(config.ttl)],
-            sql_stmts: HashMap::new(),
+            sql_stmts,
             interner: KeyInterner::new(),
             key_scratch: Vec::new(),
             cluster,
@@ -447,15 +454,14 @@ impl Deployment {
     /// associated function over disjoint fields so callers can keep
     /// borrowing `self.cluster` mutably while holding the result.
     fn table_sql<'a>(
-        stmts: &'a mut HashMap<String, TableSql>,
+        stmts: &'a mut cachekit::FxHashMap<String, TableSql>,
         cluster: &SqlCluster,
         table: &str,
         which: KvStmt,
     ) -> StoreResult<&'a CachedStatement> {
-        if !stmts.contains_key(table) {
-            stmts.insert(table.to_string(), TableSql::default());
-        }
-        let entry = stmts.get_mut(table).unwrap();
+        let entry = stmts
+            .get_mut(table)
+            .ok_or_else(|| StoreError::UnknownTable(table.to_string()))?;
         let slot = match which {
             KvStmt::Select => &mut entry.select,
             KvStmt::Replace => &mut entry.replace,

@@ -84,7 +84,14 @@ impl SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((s * 1e9).round() as u64)
+        // `(s * 1e9).round() as u64`, without `round`: on baseline x86-64
+        // that is a libm call, and every CPU charge goes through here. The
+        // cast truncates (saturating like the original), and the
+        // fractional part of a double is exact, so rounding half away from
+        // zero gives the same nanosecond for every input.
+        let ns = s * 1e9;
+        let whole = ns as u64;
+        SimDuration(whole.saturating_add((ns - whole as f64 >= 0.5) as u64))
     }
 
     /// Construct from a float quantity of microseconds (the natural unit for
@@ -234,6 +241,42 @@ mod tests {
             SimDuration::from_secs_f64(1.5),
             SimDuration::from_millis(1_500)
         );
+    }
+
+    #[test]
+    fn duration_from_float_rounds_exactly_like_f64_round() {
+        let reference = |s: f64| SimDuration((s * 1e9).round() as u64);
+        let mut edges = vec![
+            0.5e-9,
+            1.5e-9,
+            2.5e-9,
+            f64::from_bits(0.5e-9f64.to_bits() - 1),
+            1e-9,
+            4.5e-6,
+            9.223372036854775e9,
+            1.8446744073709552e10,
+            1.8446744073709553e10,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        let mut state = 0x7153_u64;
+        for _ in 0..200_000 {
+            // splitmix64: random bit patterns (every magnitude) and random
+            // values near half-nanosecond boundaries.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            edges.push(f64::from_bits(z >> 1));
+            let half = (z % 1_000_000_000_000) as f64 + 0.5;
+            edges.push(half / 1e9);
+            edges.push(f64::from_bits((half / 1e9).to_bits() + 1));
+            edges.push(f64::from_bits((half / 1e9).to_bits() - 1));
+        }
+        for s in edges.into_iter().filter(|s| s.is_finite() && *s > 0.0) {
+            assert_eq!(SimDuration::from_secs_f64(s), reference(s), "{s:e} s");
+        }
     }
 
     #[test]

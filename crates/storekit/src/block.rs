@@ -77,12 +77,17 @@ impl BlockCache {
     /// `value_bytes`. Returns how many of its blocks hit and missed;
     /// missed blocks become resident (read-through).
     pub fn access(&mut self, row_key: &[u8], value_bytes: u64) -> (u64, u64) {
-        let base = stable_hash(row_key);
+        self.access_hashed(stable_hash(row_key), value_bytes)
+    }
+
+    /// [`BlockCache::access`] for a caller that already holds the row key's
+    /// [`stable_hash`] (the storage tier routes by the same hash).
+    pub fn access_hashed(&mut self, row_key_hash: u64, value_bytes: u64) -> (u64, u64) {
         let span = self.blocks_spanned(value_bytes);
         let mut hits = 0;
         let mut misses = 0;
         for i in 0..span {
-            let id = BlockId(base.wrapping_add(i));
+            let id = BlockId(row_key_hash.wrapping_add(i));
             if self.cache.get(&id, 0).is_some() {
                 hits += 1;
             } else {

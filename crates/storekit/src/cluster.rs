@@ -17,7 +17,7 @@ use crate::block::{BlockCache, BlockConfig};
 use crate::cost::StorageCostConfig;
 use crate::durability::{DurabilityConfig, DurabilityStats, DurableStore};
 use crate::error::{StoreError, StoreResult};
-use crate::kv::{index_key, index_prefix, record_key_into, record_prefix, FlatBytes, KvEngine};
+use crate::kv::{index_key, index_prefix, record_key_into, FlatBytes, KvEngine};
 use crate::raft::{LogEntry, RaftGroup};
 use crate::row::Row;
 use crate::schema::Catalog;
@@ -822,13 +822,14 @@ struct ClusterRowStore<'a> {
 }
 
 impl ClusterRowStore<'_> {
-    fn region_of(&self, key: &[u8]) -> usize {
-        (stable_hash(key) % self.region_count as u64) as usize
+    fn region_of(&self, key_hash: u64) -> usize {
+        (key_hash % self.region_count as u64) as usize
     }
 
-    /// Charge a storage-side row read (block cache + KV) on `pod`.
-    fn charge_row_read(&mut self, pod: usize, key: &[u8], bytes: u64, rows_scanned: u64) {
-        let (hits, misses) = self.storages[pod].block_cache.access(key, bytes.max(1));
+    /// Charge a storage-side row read (block cache + KV) on `pod`, for the
+    /// row whose key has [`stable_hash`] `key_hash`.
+    fn charge_row_read(&mut self, pod: usize, key_hash: u64, bytes: u64, rows_scanned: u64) {
+        let (hits, misses) = self.storages[pod].block_cache.access_hashed(key_hash, bytes.max(1));
         self.receipt.block_hits += hits;
         self.receipt.block_misses += misses;
         let kv = self.cost.kv_read_cost(bytes, rows_scanned);
@@ -856,18 +857,37 @@ impl ClusterRowStore<'_> {
             + fe_cost * 2;
     }
 
-    fn leader_for_key(&self, key: &[u8]) -> StoreResult<usize> {
-        self.regions[self.region_of(key)].leader()
+    /// The leader pod of the region holding the key with `key_hash`.
+    fn leader_for(&self, key_hash: u64) -> StoreResult<usize> {
+        self.regions[self.region_of(key_hash)].leader()
+    }
+
+    /// Point-fetch one record key from its home region, with charges: a
+    /// miss still pays the lookup and the round trip.
+    fn fetch_row(&mut self, key: &[u8]) -> StoreResult<Option<(Row, u64)>> {
+        let hash = stable_hash(key);
+        let pod = self.leader_for(hash)?;
+        let found = self.storages[pod]
+            .kv
+            .get_latest(key)
+            .map(|v| Row::decode(v.value).map(|row| (row, v.version)))
+            .transpose()?;
+        let logical = found.as_ref().map_or(0, |(row, _)| row.encoded_size());
+        self.charge_row_read(pod, hash, logical, 1);
+        self.charge_fetch_rpc(pod, logical);
+        Ok(found)
     }
 
     /// Point-fetch each record key from its home region, with charges.
+    /// Keys whose row is gone are skipped and charge nothing.
     fn fetch_rows_by_record_keys(
         &mut self,
         record_keys: Vec<Vec<u8>>,
     ) -> StoreResult<Vec<(Row, u64)>> {
         let mut rows = Vec::new();
         for key in record_keys {
-            let pod = self.leader_for_key(&key)?;
+            let hash = stable_hash(&key);
+            let pod = self.leader_for(hash)?;
             let found = self.storages[pod]
                 .kv
                 .get_latest(&key)
@@ -875,10 +895,36 @@ impl ClusterRowStore<'_> {
                 .transpose()?;
             if let Some((row, version)) = found {
                 let logical = row.encoded_size();
-                self.charge_row_read(pod, &key, logical, 1);
+                self.charge_row_read(pod, hash, logical, 1);
                 self.charge_fetch_rpc(pod, logical);
                 rows.push((row, version));
             }
+        }
+        Ok(rows)
+    }
+
+    /// Rows of record keys in `[start, end)` across every region: each
+    /// region leader scans its slice, and each row read is charged.
+    fn scan_records(&mut self, start: &[u8], end: Option<&[u8]>) -> StoreResult<Vec<(Row, u64)>> {
+        let mut rows = Vec::new();
+        for region_idx in 0..self.region_count {
+            let pod = self.regions[region_idx].leader()?;
+            let hits: Vec<(u64, Vec<u8>, u64)> = self.storages[pod]
+                .kv
+                .scan_between(start, end, u64::MAX)
+                .map(|(k, v)| (stable_hash(k), v))
+                .filter(|(hash, _)| self.region_of(*hash) == region_idx)
+                .map(|(hash, v)| (hash, v.value.to_vec(), v.version))
+                .collect();
+            let mut region_bytes = 0u64;
+            for (hash, bytes, version) in hits {
+                let row = Row::decode(&bytes)?;
+                let logical = row.encoded_size();
+                region_bytes += logical;
+                self.charge_row_read(pod, hash, logical, 1);
+                rows.push((row, version));
+            }
+            self.charge_fetch_rpc(pod, region_bytes);
         }
         Ok(rows)
     }
@@ -893,26 +939,7 @@ impl RowStore for ClusterRowStore<'_> {
         POINT_GET_KEY.with(|buf| {
             let mut key = buf.borrow_mut();
             record_key_into(&mut key, table, pk);
-            let pod = self.leader_for_key(&key)?;
-            let found = self.storages[pod]
-                .kv
-                .get_latest(&key)
-                .map(|v| Row::decode(v.value).map(|row| (row, v.version)))
-                .transpose()?;
-            match found {
-                None => {
-                    // Negative lookups still pay lookup + RPC.
-                    self.charge_row_read(pod, &key, 0, 1);
-                    self.charge_fetch_rpc(pod, 0);
-                    Ok(None)
-                }
-                Some((row, version)) => {
-                    let logical = row.encoded_size();
-                    self.charge_row_read(pod, &key, logical, 1);
-                    self.charge_fetch_rpc(pod, logical);
-                    Ok(Some((row, version)))
-                }
-            }
+            self.fetch_row(&key)
         })
     }
 
@@ -923,14 +950,15 @@ impl RowStore for ClusterRowStore<'_> {
         value: &Datum,
     ) -> StoreResult<Vec<(Row, u64)>> {
         let prefix = index_prefix(table, column, value);
-        let pod = self.leader_for_key(&prefix)?;
+        let hash = stable_hash(&prefix);
+        let pod = self.leader_for(hash)?;
         let record_keys: Vec<Vec<u8>> = self.storages[pod]
             .kv
             .scan_prefix(&prefix, u64::MAX)
             .map(|(_, v)| v.value.to_vec())
             .collect();
         // Index scan: one block access over the index range, rows = entries.
-        self.charge_row_read(pod, &prefix, 32 * record_keys.len() as u64, record_keys.len().max(1) as u64);
+        self.charge_row_read(pod, hash, 32 * record_keys.len() as u64, record_keys.len().max(1) as u64);
         self.charge_fetch_rpc(pod, 40 * record_keys.len() as u64);
         self.fetch_rows_by_record_keys(record_keys)
     }
@@ -946,18 +974,17 @@ impl RowStore for ClusterRowStore<'_> {
         // hash by full key), so every region leader scans its slice — the
         // multi-region coprocessor pattern of the real system.
         let (start, end) = crate::kv::index_range_bounds(table, column, lo, hi);
+        let start_hash = stable_hash(&start);
         let mut record_keys = Vec::new();
         for region_idx in 0..self.region_count {
             let pod = self.regions[region_idx].leader()?;
             let hits: Vec<Vec<u8>> = self.storages[pod]
                 .kv
                 .scan_between(&start, end.as_deref(), u64::MAX)
-                .filter(|(k, _)| {
-                    (stable_hash(k) % self.region_count as u64) as usize == region_idx
-                })
+                .filter(|(k, _)| self.region_of(stable_hash(k)) == region_idx)
                 .map(|(_, v)| v.value.to_vec())
                 .collect();
-            self.charge_row_read(pod, &start, 32 * hits.len() as u64, hits.len().max(1) as u64);
+            self.charge_row_read(pod, start_hash, 32 * hits.len() as u64, hits.len().max(1) as u64);
             self.charge_fetch_rpc(pod, 40 * hits.len() as u64);
             record_keys.extend(hits);
         }
@@ -973,54 +1000,14 @@ impl RowStore for ClusterRowStore<'_> {
         hi: Option<&Datum>,
     ) -> StoreResult<Vec<(Row, u64)>> {
         let (start, end) = crate::kv::record_range_bounds(table, lo, hi);
-        let mut rows = Vec::new();
-        for region_idx in 0..self.region_count {
-            let pod = self.regions[region_idx].leader()?;
-            let hits: Vec<(Vec<u8>, Vec<u8>, u64)> = self.storages[pod]
-                .kv
-                .scan_between(&start, end.as_deref(), u64::MAX)
-                .filter(|(k, _)| {
-                    (stable_hash(k) % self.region_count as u64) as usize == region_idx
-                })
-                .map(|(k, v)| (k.to_vec(), v.value.to_vec(), v.version))
-                .collect();
-            let mut region_bytes = 0u64;
-            for (key, bytes, version) in hits {
-                let row = Row::decode(&bytes)?;
-                let logical = row.encoded_size();
-                region_bytes += logical;
-                self.charge_row_read(pod, &key, logical, 1);
-                rows.push((row, version));
-            }
-            self.charge_fetch_rpc(pod, region_bytes);
-        }
-        Ok(rows)
+        self.scan_records(&start, end.as_deref())
     }
 
     fn full_scan(&mut self, table: &str) -> StoreResult<Vec<(Row, u64)>> {
-        let prefix = record_prefix(table);
-        let mut rows = Vec::new();
-        for region_idx in 0..self.region_count {
-            let pod = self.regions[region_idx].leader()?;
-            let hits: Vec<(Vec<u8>, Vec<u8>, u64)> = self.storages[pod]
-                .kv
-                .scan_prefix(&prefix, u64::MAX)
-                .filter(|(k, _)| {
-                    (stable_hash(k) % self.region_count as u64) as usize == region_idx
-                })
-                .map(|(k, v)| (k.to_vec(), v.value.to_vec(), v.version))
-                .collect();
-            let mut region_bytes = 0u64;
-            for (key, bytes, version) in hits {
-                let row = Row::decode(&bytes)?;
-                let logical = row.encoded_size();
-                region_bytes += logical;
-                self.charge_row_read(pod, &key, logical, 1);
-                rows.push((row, version));
-            }
-            self.charge_fetch_rpc(pod, region_bytes);
-        }
-        Ok(rows)
+        // Every record key of the table: the same bounds as `scan_prefix`
+        // over `record_prefix(table)`.
+        let (start, end) = crate::kv::record_range_bounds(table, None, None);
+        self.scan_records(&start, end.as_deref())
     }
 }
 

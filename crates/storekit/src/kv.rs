@@ -24,86 +24,18 @@
 //! `Vec`, which stays unallocated while a key has one version. A record key
 //! (14 bytes for an integer key) with a `Payload` row (28 bytes) therefore
 //! costs no heap object of its own: only its share of a B-tree node.
+//!
+//! Reads and writes of a key up to [`INLINE_BYTES`] long probe the tree
+//! with an inline copy of it, so each node key visited is compared word by
+//! word (see [`FlatBytes`]) rather than through a `memcmp` call.
 
 use crate::value::Datum;
-use std::borrow::Borrow;
+pub use cachekit::flat::{FlatBytes, INLINE_BYTES};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::ops::Bound;
 
 /// A raw storage key.
 pub type Key = Vec<u8>;
-
-/// Longest key or value an entry stores inline; longer ones go on the heap.
-/// 30 makes an inline string 32 bytes: a tag byte, a length byte and the
-/// buffer. The heap form, a tag and a boxed slice, fits in the same 32.
-pub const INLINE_BYTES: usize = 30;
-
-/// A byte string as an entry stores it: inline up to [`INLINE_BYTES`], else
-/// one boxed slice. Which form a string takes depends only on its length,
-/// so equal strings have equal forms.
-#[derive(Clone)]
-pub(crate) enum FlatBytes {
-    Inline { len: u8, buf: [u8; INLINE_BYTES] },
-    Heap(Box<[u8]>),
-}
-
-const _: () = assert!(std::mem::size_of::<FlatBytes>() == 32);
-
-impl FlatBytes {
-    pub(crate) fn new(bytes: &[u8]) -> Self {
-        if bytes.len() <= INLINE_BYTES {
-            let mut buf = [0u8; INLINE_BYTES];
-            buf[..bytes.len()].copy_from_slice(bytes);
-            FlatBytes::Inline {
-                len: bytes.len() as u8,
-                buf,
-            }
-        } else {
-            FlatBytes::Heap(bytes.into())
-        }
-    }
-
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        match self {
-            FlatBytes::Inline { len, buf } => &buf[..*len as usize],
-            FlatBytes::Heap(b) => b,
-        }
-    }
-}
-
-impl Borrow<[u8]> for FlatBytes {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for FlatBytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for FlatBytes {}
-
-impl PartialOrd for FlatBytes {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for FlatBytes {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl fmt::Debug for FlatBytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
 
 /// One MVCC version: the commit version and the value (`None` = tombstone).
 #[derive(Debug, Clone, PartialEq)]
@@ -207,6 +139,30 @@ fn scan_hit<'a>(
 }
 
 impl KvEngine {
+    /// The versions of `key`. A key short enough to be stored inline is
+    /// looked up by an inline copy, so the tree compares it word by word.
+    #[inline]
+    fn versions(&self, key: &[u8]) -> Option<&Versions> {
+        if key.len() <= INLINE_BYTES {
+            self.data.get(&FlatBytes::new(key))
+        } else {
+            self.data.get(key)
+        }
+    }
+
+    /// [`KvEngine::versions`], mutably; borrows only the tree.
+    #[inline]
+    fn versions_mut<'a>(
+        data: &'a mut BTreeMap<FlatBytes, Versions>,
+        key: &[u8],
+    ) -> Option<&'a mut Versions> {
+        if key.len() <= INLINE_BYTES {
+            data.get_mut(&FlatBytes::new(key))
+        } else {
+            data.get_mut(key)
+        }
+    }
+
     pub fn new() -> Self {
         KvEngine {
             data: BTreeMap::new(),
@@ -291,7 +247,7 @@ impl KvEngine {
         self.bytes_written += value.map(|v| v.len() as u64).unwrap_or(0);
         let entry = VersionEntry::new(version, value);
         let added = live_size(key, &entry);
-        let replaced = match self.data.get_mut(key) {
+        let replaced = match Self::versions_mut(&mut self.data, key) {
             Some(versions) => {
                 debug_assert!(versions.newest.version < version, "out-of-order MVCC apply");
                 let replaced = live_size(key, &versions.newest);
@@ -366,7 +322,7 @@ impl KvEngine {
     /// If the key's newest entry is not `version`, in release builds too:
     /// the engine then holds state its WAL never saw.
     pub fn undo_put_at(&mut self, key: &[u8], version: u64) {
-        let versions = self.data.get_mut(key);
+        let versions = Self::versions_mut(&mut self.data, key);
         let newest = versions.as_ref().map(|vs| vs.newest.version);
         assert!(
             newest == Some(version),
@@ -402,19 +358,19 @@ impl KvEngine {
 
     /// Read the latest committed version of `key`.
     pub fn get_latest(&self, key: &[u8]) -> Option<VersionedValue<'_>> {
-        self.data.get(key)?.newest.read()
+        self.versions(key)?.newest.read()
     }
 
     /// Read `key` at `snapshot`: the newest version ≤ snapshot. Tombstones
     /// return `None`.
     pub fn get_at(&self, key: &[u8], snapshot: u64) -> Option<VersionedValue<'_>> {
-        self.data.get(key)?.at(snapshot)?.read()
+        self.versions(key)?.at(snapshot)?.read()
     }
 
     /// The latest version number recorded for `key`, even if a tombstone —
     /// this is what a version check compares against.
     pub fn latest_version(&self, key: &[u8]) -> Option<u64> {
-        self.data.get(key).map(|vs| vs.newest.version)
+        self.versions(key).map(|vs| vs.newest.version)
     }
 
     /// Scan live entries whose key starts with `prefix`, at `snapshot`, in

@@ -8,8 +8,8 @@
 use crate::error::{StoreError, StoreResult};
 use crate::row::Row;
 use crate::value::Datum;
+use cachekit::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Column types in the SQL subset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -159,10 +159,12 @@ impl TableSchema {
     }
 }
 
-/// All table schemas in a database.
+/// All table schemas in a database. Every statement looks its table up
+/// here, so the map hashes with FxHash rather than SipHash: table names are
+/// the program's own schema, not outside input.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Catalog {
-    tables: HashMap<String, TableSchema>,
+    tables: FxHashMap<String, TableSchema>,
 }
 
 impl Catalog {

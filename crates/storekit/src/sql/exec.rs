@@ -123,6 +123,10 @@ fn matches_all(row: &Row, preds: &[BoundPredicate], params: &[Datum]) -> StoreRe
     Ok(true)
 }
 
+/// Candidate rows of an access path, in store order. A point get yields at
+/// most one row, which needs no vector.
+type Fetched = std::iter::Chain<std::option::IntoIter<(Row, u64)>, std::vec::IntoIter<(Row, u64)>>;
+
 /// Fetch candidate rows for an access path, updating stats.
 fn fetch(
     store: &mut dyn RowStore,
@@ -130,38 +134,40 @@ fn fetch(
     access: &Access,
     params: &[Datum],
     stats: &mut ExecStats,
-) -> StoreResult<Vec<(Row, u64)>> {
-    let rows = match access {
+) -> StoreResult<Fetched> {
+    let (one, many) = match access {
         Access::PointGet { value } => {
             stats.used_index = true;
             let pk = resolve(value, params)?;
-            store.point_get(table, pk)?.into_iter().collect()
+            (store.point_get(table, pk)?, Vec::new())
         }
         Access::IndexEq { column, value } => {
             stats.used_index = true;
             let v = resolve(value, params)?;
-            store.index_lookup(table, *column, v)?
+            (None, store.index_lookup(table, *column, v)?)
         }
         Access::IndexRange { column, lo, hi } => {
             stats.used_index = true;
             let lo = lo.as_ref().map(|l| resolve(l, params)).transpose()?;
             let hi = hi.as_ref().map(|h| resolve(h, params)).transpose()?;
-            store.index_range(table, *column, lo, hi)?
+            (None, store.index_range(table, *column, lo, hi)?)
         }
         Access::PkRange { lo, hi } => {
             stats.used_index = true;
             let lo = lo.as_ref().map(|l| resolve(l, params)).transpose()?;
             let hi = hi.as_ref().map(|h| resolve(h, params)).transpose()?;
-            store.pk_range(table, lo, hi)?
+            (None, store.pk_range(table, lo, hi)?)
         }
         Access::FullScan => {
             stats.full_scans += 1;
-            store.full_scan(table)?
+            (None, store.full_scan(table)?)
         }
     };
-    stats.rows_visited += rows.len() as u64;
-    stats.bytes_read += rows.iter().map(|(r, _)| r.encoded_size()).sum::<u64>();
-    Ok(rows)
+    for (row, _) in one.iter().chain(&many) {
+        stats.rows_visited += 1;
+        stats.bytes_read += row.encoded_size();
+    }
+    Ok(one.into_iter().chain(many))
 }
 
 /// Execute a plan. See module docs for the read/write split.
@@ -190,6 +196,92 @@ pub fn execute(
     }
 }
 
+/// A result row before projection: the left row, its version, and the
+/// matching right row of a join.
+type Joined = (Row, u64, Option<Row>);
+
+/// Where accepted rows go. Without `ORDER BY` a row is projected into the
+/// output as soon as it passes the filters; a sort must see every row
+/// first, so those wait in `sorted`. `COUNT(*)` keeps no rows at all.
+struct Sink<'p> {
+    projection: &'p BoundProjection,
+    sorting: bool,
+    /// Rows accepted so far.
+    accepted: u64,
+    sorted: Vec<Joined>,
+    out: ExecOutcome,
+}
+
+impl Sink<'_> {
+    fn accept(&mut self, (lrow, lver, rrow): Joined) {
+        self.accepted += 1;
+        match self.projection {
+            BoundProjection::CountStar => {}
+            _ if self.sorting => self.sorted.push((lrow, lver, rrow)),
+            projection => {
+                self.out.rows.push(project(projection, lrow, lver, rrow));
+                self.out.versions.push(lver);
+            }
+        }
+    }
+}
+
+/// Project one result row. The left row's datum vector becomes the output
+/// when every left column the projection reads is read once, in increasing
+/// column order, and no earlier than its output position — as in every
+/// point read the serve path issues (`v, _version`, `_version`). Output `j`
+/// then only overwrites column `j`, which no later output reads, so each
+/// datum moves into place. Any other projection builds a new row.
+fn project(projection: &BoundProjection, mut lrow: Row, lver: u64, rrow: Option<Row>) -> Row {
+    let cols = match projection {
+        BoundProjection::Columns(cols) => cols,
+        BoundProjection::Star | BoundProjection::CountStar => {
+            if let Some(r) = rrow {
+                lrow.0.extend(r.0);
+            }
+            return lrow;
+        }
+    };
+    let right = |i: usize| {
+        rrow.as_ref()
+            .and_then(|r| r.get(i).cloned())
+            .unwrap_or(Datum::Null)
+    };
+    let mut next_left = 0;
+    let in_place = cols.iter().enumerate().all(|(j, col)| match *col {
+        OutputCol::Left(i) => {
+            let ok = i >= j && i >= next_left;
+            next_left = i + 1;
+            ok
+        }
+        OutputCol::Right(_) | OutputCol::Version => true,
+    });
+    if !in_place {
+        let values = cols.iter().map(|col| match *col {
+            OutputCol::Left(i) => lrow.get(i).cloned().unwrap_or(Datum::Null),
+            OutputCol::Right(i) => right(i),
+            OutputCol::Version => Datum::Int(lver as i64),
+        });
+        return Row(values.collect());
+    }
+    for (j, col) in cols.iter().enumerate() {
+        let value = match *col {
+            OutputCol::Left(i) => lrow
+                .0
+                .get_mut(i)
+                .map_or(Datum::Null, |d| std::mem::replace(d, Datum::Null)),
+            OutputCol::Right(i) => right(i),
+            OutputCol::Version => Datum::Int(lver as i64),
+        };
+        match lrow.0.get_mut(j) {
+            Some(slot) => *slot = value,
+            None => lrow.0.push(value),
+        }
+    }
+    lrow.0.truncate(cols.len());
+    lrow
+}
+
 fn execute_select(
     catalog: &Catalog,
     s: &SelectPlan,
@@ -197,21 +289,24 @@ fn execute_select(
     store: &mut dyn RowStore,
 ) -> StoreResult<ExecOutcome> {
     let mut stats = ExecStats::default();
-    let left_rows = fetch(store, &s.table, &s.access, params, &mut stats)?;
-
+    let fetched = fetch(store, &s.table, &s.access, params, &mut stats)?;
+    let mut sink = Sink {
+        projection: &s.projection,
+        sorting: s.order_by.is_some(),
+        accepted: 0,
+        sorted: Vec::new(),
+        out: ExecOutcome::default(),
+    };
     // LIMIT can only short-circuit when no sort reorders rows afterwards.
     let early_limit = if s.order_by.is_none() { s.limit } else { None };
+    let full = |sink: &Sink| early_limit.is_some_and(|limit| sink.accepted >= limit);
 
-    // (left row, version, optional right row) tuples surviving filters.
-    let mut joined: Vec<(Row, u64, Option<Row>)> = Vec::new();
-    'left: for (lrow, lver) in left_rows {
+    'left: for (lrow, lver) in fetched {
         if !matches_all(&lrow, &s.residual, params)? {
             continue;
         }
         match &s.join {
-            None => {
-                joined.push((lrow, lver, None));
-            }
+            None => sink.accept((lrow, lver, None)),
             Some(j) => {
                 let key = lrow.get(j.left_col).unwrap_or(&Datum::Null).clone();
                 if key.is_null() {
@@ -246,77 +341,58 @@ fn execute_select(
                     if !matches_all(&rrow, &j.residual, params)? {
                         continue;
                     }
-                    joined.push((lrow.clone(), lver, Some(rrow)));
-                    if let Some(limit) = early_limit {
-                        if joined.len() as u64 >= limit {
-                            break 'left;
-                        }
+                    sink.accept((lrow.clone(), lver, Some(rrow)));
+                    if full(&sink) {
+                        break 'left;
                     }
                 }
             }
         }
-        if let Some(limit) = early_limit {
-            if joined.len() as u64 >= limit {
-                break;
-            }
+        if full(&sink) {
+            break;
         }
     }
 
-    if let Some((col, descending)) = s.order_by {
-        joined.sort_by(|(a, _, _), (b, _, _)| {
-            let lhs = a.get(col).unwrap_or(&Datum::Null);
-            let rhs = b.get(col).unwrap_or(&Datum::Null);
-            // NULLs first; incomparable pairs keep insertion order (Equal).
-            let ord = match (lhs.is_null(), rhs.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Less,
-                (false, true) => std::cmp::Ordering::Greater,
-                (false, false) => lhs.sql_cmp(rhs).unwrap_or(std::cmp::Ordering::Equal),
-            };
-            if descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-    }
-
-    if let Some(limit) = s.limit {
-        joined.truncate(limit as usize);
-    }
-
-    let mut out = ExecOutcome::default();
+    let limit = s.limit.map_or(usize::MAX, |l| l as usize);
+    let Sink {
+        accepted,
+        mut sorted,
+        mut out,
+        ..
+    } = sink;
     match &s.projection {
         BoundProjection::CountStar => {
-            out.rows.push(Row(vec![Datum::Int(joined.len() as i64)]));
+            let count = accepted.min(limit as u64) as i64;
+            out.rows.push(Row(vec![Datum::Int(count)]));
             out.versions.push(0);
         }
-        BoundProjection::Star => {
-            for (lrow, lver, rrow) in joined {
-                let mut row = lrow;
-                if let Some(r) = rrow {
-                    row.0.extend(r.0);
+        projection => {
+            if let Some((col, descending)) = s.order_by {
+                sorted.sort_by(|(a, _, _), (b, _, _)| {
+                    let lhs = a.get(col).unwrap_or(&Datum::Null);
+                    let rhs = b.get(col).unwrap_or(&Datum::Null);
+                    // NULLs first; incomparable pairs keep insertion order (Equal).
+                    let ord = match (lhs.is_null(), rhs.is_null()) {
+                        (true, true) => std::cmp::Ordering::Equal,
+                        (true, false) => std::cmp::Ordering::Less,
+                        (false, true) => std::cmp::Ordering::Greater,
+                        (false, false) => lhs.sql_cmp(rhs).unwrap_or(std::cmp::Ordering::Equal),
+                    };
+                    if descending {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                });
+                for (lrow, lver, rrow) in sorted.into_iter().take(limit) {
+                    out.rows.push(project(projection, lrow, lver, rrow));
+                    out.versions.push(lver);
                 }
-                out.rows.push(row);
-                out.versions.push(lver);
             }
-        }
-        BoundProjection::Columns(cols) => {
-            for (lrow, lver, rrow) in joined {
-                let mut row = Row::default();
-                for c in cols {
-                    row.0.push(match c {
-                        OutputCol::Left(i) => lrow.get(*i).cloned().unwrap_or(Datum::Null),
-                        OutputCol::Right(i) => rrow
-                            .as_ref()
-                            .and_then(|r| r.get(*i).cloned())
-                            .unwrap_or(Datum::Null),
-                        OutputCol::Version => Datum::Int(lver as i64),
-                    });
-                }
-                out.rows.push(row);
-                out.versions.push(lver);
-            }
+            // An early limit stops right after the row that reaches it, so
+            // only LIMIT 0 leaves a row to drop.
+            out.rows.truncate(limit);
+            out.versions.truncate(limit);
         }
     }
     stats.rows_returned = out.rows.len() as u64;

@@ -6,9 +6,12 @@
 //! with every version in one vector — and a seeded run of writes, deletes,
 //! undos, gcs and sorted loads must leave both answering every read, scan
 //! and counter identically. Keys and values of 0 bytes, of exactly
-//! `INLINE_BYTES` and of one byte more are all in the mix.
+//! `INLINE_BYTES` and of one byte more are all in the mix, and a second run
+//! uses keys that differ only by trailing zero bytes or by length — the
+//! keys that the word-wise comparison of inline keys could confuse.
 
 use cachekit::ring::stable_hash;
+use cachekit::FlatBytes;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use storekit::kv::{index_key, record_key, KvEngine, INLINE_BYTES};
@@ -187,6 +190,35 @@ fn key_pool(rng: &mut Rng) -> Vec<Vec<u8>> {
     pool
 }
 
+/// Keys that differ only by trailing zero bytes or by length: a few base
+/// keys, each with zeros appended up to and past the inline bound, plus all
+/// its prefixes. Inline keys compare by zero-padded words, so these are the
+/// keys that padding could confuse.
+fn zero_tail_pool(rng: &mut Rng) -> Vec<Vec<u8>> {
+    let mut pool = Vec::new();
+    for _ in 0..3 {
+        let len = *rng.pick(&[0, 1, 5, 14]);
+        let base = bytes(rng, len);
+        for total in [
+            len,
+            len + 1,
+            len + 2,
+            len + 8,
+            INLINE_BYTES,
+            INLINE_BYTES + 1,
+            47,
+        ] {
+            let mut key = base.clone();
+            key.resize(total, 0);
+            pool.push(key);
+        }
+        pool.extend((0..len).map(|cut| base[..cut].to_vec()));
+    }
+    pool.sort();
+    pool.dedup();
+    pool
+}
+
 /// Coverage counters: each path the run must actually take.
 #[derive(Debug, Default)]
 struct Coverage {
@@ -307,10 +339,11 @@ fn run_case(
     seed: u64,
     ops: usize,
     skip_scan_entries: usize,
+    pool_of: fn(&mut Rng) -> Vec<Vec<u8>>,
     cov: &mut Coverage,
 ) -> Result<(), String> {
     let mut rng = Rng(seed);
-    let pool = key_pool(&mut rng);
+    let pool = pool_of(&mut rng);
     let mut pair = Lockstep::new();
     pair.skip_scan_entries = skip_scan_entries;
     for step in 0..ops {
@@ -413,7 +446,7 @@ fn run_case(
 fn flat_layout_matches_the_vector_per_key_reference() {
     let mut cov = Coverage::default();
     for case in 0..200u64 {
-        run_case(0x1a70_0000 + case, 120, 0, &mut cov).unwrap();
+        run_case(0x1a70_0000 + case, 120, 0, key_pool, &mut cov).unwrap();
     }
     let paths = [
         cov.loads_into_empty,
@@ -432,10 +465,56 @@ fn flat_layout_matches_the_vector_per_key_reference() {
 }
 
 #[test]
+fn keys_differing_by_trailing_zeros_or_length_match_the_reference() {
+    let mut cov = Coverage::default();
+    for case in 0..200u64 {
+        run_case(0x2e40_0000 + case, 120, 0, zero_tail_pool, &mut cov).unwrap();
+    }
+    assert!(cov.undos > 0 && cov.loads_into_empty > 0 && cov.older_version_reads > 0);
+}
+
+/// `FlatBytes` orders and equates strings exactly as their slices do, at
+/// the lengths around the inline bound, for unrelated strings and for
+/// near-copies (zeros appended or dropped, one byte changed, truncated).
+#[test]
+fn flat_bytes_compare_like_slices() {
+    const LENS: [usize; 5] = [0, 29, 30, 31, 47];
+    let mut rng = Rng(0xf1a7_b175);
+    for _ in 0..20_000 {
+        let len = *rng.pick(&LENS);
+        let a = bytes(&mut rng, len);
+        let b = match rng.below(5) {
+            0 => {
+                let len = *rng.pick(&LENS);
+                bytes(&mut rng, len)
+            }
+            1 => {
+                let mut b = a.clone();
+                b.resize(*rng.pick(&LENS), 0);
+                b
+            }
+            2 if !a.is_empty() => {
+                let mut b = a.clone();
+                let at = rng.below(a.len() as u64) as usize;
+                b[at] = *rng.pick(&[0u8, 1, b'a', 0xFF]);
+                b
+            }
+            3 => a[..rng.below(a.len() as u64 + 1) as usize].to_vec(),
+            _ => a.clone(),
+        };
+        let (fa, fb) = (FlatBytes::new(&a), FlatBytes::new(&b));
+        assert_eq!(fa.cmp(&fb), a.cmp(&b), "{a:?} vs {b:?}");
+        assert_eq!(fa.partial_cmp(&fb), Some(a.cmp(&b)), "{a:?} vs {b:?}");
+        assert_eq!(fa == fb, a == b, "{a:?} vs {b:?}");
+        assert_eq!(fa.as_slice(), a.as_slice());
+    }
+}
+
+#[test]
 fn a_scan_that_skips_an_entry_is_caught() {
     let mut cov = Coverage::default();
     let caught = (0..20u64).any(|case| {
-        run_case(0x1a70_0000 + case, 120, 1, &mut cov).is_err_and(|e| e.contains("scan_"))
+        run_case(0x1a70_0000 + case, 120, 1, key_pool, &mut cov).is_err_and(|e| e.contains("scan_"))
     });
     assert!(caught, "dropping a scan entry must fail the check");
 }
