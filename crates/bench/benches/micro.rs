@@ -77,7 +77,9 @@ fn bench_sql(c: &mut Criterion) {
     }
     let stmt = parse(sql).unwrap();
     let catalog = store.catalog.clone();
-    group.bench_function("plan", |b| b.iter(|| black_box(plan(&catalog, &stmt).unwrap())));
+    group.bench_function("plan", |b| {
+        b.iter(|| black_box(plan(&catalog, &stmt).unwrap()))
+    });
     group.bench_function("point_select_end_to_end", |b| {
         let mut k = 0i64;
         b.iter(|| {
@@ -93,13 +95,18 @@ fn bench_row_codec(c: &mut Criterion) {
         Datum::Int(42),
         Datum::Text("catalog_7.schema_3.table_99".into()),
         Datum::Bytes(vec![7; 256]),
-        Datum::Payload { len: 1 << 20, seed: 9 },
+        Datum::Payload {
+            len: 1 << 20,
+            seed: 9,
+        },
     ]);
     let encoded = row.encode();
     let mut group = c.benchmark_group("row_codec");
     group.throughput(Throughput::Bytes(encoded.len() as u64));
     group.bench_function("encode", |b| b.iter(|| black_box(row.encode())));
-    group.bench_function("decode", |b| b.iter(|| black_box(Row::decode(&encoded).unwrap())));
+    group.bench_function("decode", |b| {
+        b.iter(|| black_box(Row::decode(&encoded).unwrap()))
+    });
     group.finish();
 }
 
@@ -150,7 +157,13 @@ fn bench_serve_paths(c: &mut Criterion) {
                 .bulk_load(
                     "kv",
                     (0..1_000i64).map(|k| {
-                        vec![Datum::Int(k), Datum::Payload { len: 1_024, seed: 0 }]
+                        vec![
+                            Datum::Int(k),
+                            Datum::Payload {
+                                len: 1_024,
+                                seed: 0,
+                            },
+                        ]
                     }),
                 )
                 .unwrap();

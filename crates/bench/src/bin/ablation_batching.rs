@@ -67,8 +67,8 @@ fn main() {
         } else {
             1.0
         };
-        let model_cpu = baseline_cpu
-            - (tax.amortized_core_secs(1.0) - tax.amortized_core_secs(b)) * 1e6;
+        let model_cpu =
+            baseline_cpu - (tax.amortized_core_secs(1.0) - tax.amortized_core_secs(b)) * 1e6;
         rows.push(vec![
             format!("{}", spec.value_bytes),
             format!("{}", spec.max_batch),

@@ -28,7 +28,9 @@ struct Point {
 }
 
 fn main() {
-    println!("Ablation: popularity churn (100K keys, 1KB, r=0.95, 100K QPS, cache ~5% of keyspace)");
+    println!(
+        "Ablation: popularity churn (100K keys, 1KB, r=0.95, 100K QPS, cache ~5% of keyspace)"
+    );
     let (warmup, measured) = request_budget(120_000, 120_000);
 
     let run = |arch: ArchKind, churn: Option<u64>| {
@@ -49,10 +51,13 @@ fn main() {
         vec![("base".into(), ArchKind::Base, None)];
     specs.push(("static".into(), ArchKind::Linked, None));
     for period in [200_000u64, 60_000, 20_000, 5_000] {
-        specs.push((format!("churn every {period}"), ArchKind::Linked, Some(period)));
+        specs.push((
+            format!("churn every {period}"),
+            ArchKind::Linked,
+            Some(period),
+        ));
     }
-    let reports = SweepRunner::from_env()
-        .run_map(&specs, |_, (_, arch, churn)| run(*arch, *churn));
+    let reports = SweepRunner::from_env().run_map(&specs, |_, (_, arch, churn)| run(*arch, *churn));
     let base_cost = reports[0].total_cost.total();
 
     let mut rows = Vec::new();

@@ -49,7 +49,10 @@ fn main() {
         run_kv_experiment(&cfg).expect("run")
     });
 
-    for (chunk, reports) in specs.chunks(VARIANTS.len()).zip(reports.chunks(VARIANTS.len())) {
+    for (chunk, reports) in specs
+        .chunks(VARIANTS.len())
+        .zip(reports.chunks(VARIANTS.len()))
+    {
         let value_bytes = chunk[0].0;
         let base_cost = reports[0].total_cost.total();
         let mut rows = Vec::new();
@@ -79,7 +82,14 @@ fn main() {
                 value_bytes >> 10,
                 usd(base_cost)
             ),
-            &["arch", "total/mo", "saving", "checks/read", "stale", "linearizable"],
+            &[
+                "arch",
+                "total/mo",
+                "saving",
+                "checks/read",
+                "stale",
+                "linearizable",
+            ],
             &rows,
         );
     }

@@ -51,9 +51,7 @@ struct Point {
 }
 
 fn main() {
-    println!(
-        "Ablation: elastic cache provisioning over a diurnal day (trough = {TROUGH} x peak)"
-    );
+    println!("Ablation: elastic cache provisioning over a diurnal day (trough = {TROUGH} x peak)");
     let (warmup, measured) = request_budget(16_000, 32_000);
 
     let specs = sweep_specs();
@@ -125,7 +123,10 @@ fn main() {
             usd(static_peak_dollars(st)),
             usd(elastic_dollars(el)),
             format!("{:.1}%", save * 100.0),
-            format!("{:+.2}pt", (el.cache_hit_ratio - st.cache_hit_ratio) * 100.0),
+            format!(
+                "{:+.2}pt",
+                (el.cache_hit_ratio - st.cache_hit_ratio) * 100.0
+            ),
             ratio(st.peak_window_cores / st.total_cores.max(1e-9)),
         ]);
     }

@@ -53,7 +53,12 @@ fn main() {
             .iter()
             .map(|&p| (p.label().to_string(), ArchKind::Linked, p, false)),
     );
-    specs.push(("lru+tinylfu".to_string(), ArchKind::Linked, PolicyKind::Lru, true));
+    specs.push((
+        "lru+tinylfu".to_string(),
+        ArchKind::Linked,
+        PolicyKind::Lru,
+        true,
+    ));
     let reports = SweepRunner::from_env().run_map(&specs, |_, (_, arch, policy, admission)| {
         run_kv_experiment(&make_cfg(*arch, *policy, *admission)).expect("run")
     });
@@ -83,7 +88,10 @@ fn main() {
     );
     write_json("ablation_eviction", &points);
 
-    let best = points.iter().map(|p| p.saving_vs_base).fold(0.0f64, f64::max);
+    let best = points
+        .iter()
+        .map(|p| p.saving_vs_base)
+        .fold(0.0f64, f64::max);
     let worst = points
         .iter()
         .map(|p| p.saving_vs_base)

@@ -48,8 +48,7 @@ fn main() {
         .iter()
         .flat_map(|&a| [false, true].map(|crash| (a, crash)))
         .collect();
-    let reports =
-        SweepRunner::from_env().run_map(&specs, |_, &(arch, crash)| run(arch, crash));
+    let reports = SweepRunner::from_env().run_map(&specs, |_, &(arch, crash)| run(arch, crash));
 
     let mut rows = Vec::new();
     let mut points = Vec::new();
@@ -75,7 +74,14 @@ fn main() {
     }
     print_table(
         "Failover ablation",
-        &["arch", "condition", "total/mo", "elections", "p50_us", "p99_us"],
+        &[
+            "arch",
+            "condition",
+            "total/mo",
+            "elections",
+            "p50_us",
+            "p99_us",
+        ],
         &rows,
     );
     write_json("ablation_failover", &points);

@@ -78,24 +78,25 @@ fn main() {
     // (crash interval, recovery) sweep; the measured window is
     // `measured / qps` seconds long (0.6 s at the default budget).
     let sweep: &[(Option<u64>, u64)] = &[
-        (None, 0),        // healthy baseline
-        (Some(200), 5),   // rare crashes, fast recovery
-        (Some(200), 50),  // rare crashes, slow recovery
-        (Some(50), 5),    // frequent crashes, fast recovery
-        (Some(50), 50),   // frequent crashes, slow recovery
+        (None, 0),       // healthy baseline
+        (Some(200), 5),  // rare crashes, fast recovery
+        (Some(200), 50), // rare crashes, slow recovery
+        (Some(50), 5),   // frequent crashes, fast recovery
+        (Some(50), 50),  // frequent crashes, slow recovery
     ];
 
     let specs: Vec<(ArchKind, Option<u64>, u64)> = [ArchKind::Remote, ArchKind::Linked]
         .iter()
         .flat_map(|&a| sweep.iter().map(move |&(i, rec)| (a, i, rec)))
         .collect();
-    let reports = SweepRunner::from_env().run_map(&specs, |_, &(arch, interval_ms, recovery_ms)| {
-        run(
-            arch,
-            interval_ms.map(SimDuration::from_millis),
-            SimDuration::from_millis(recovery_ms),
-        )
-    });
+    let reports =
+        SweepRunner::from_env().run_map(&specs, |_, &(arch, interval_ms, recovery_ms)| {
+            run(
+                arch,
+                interval_ms.map(SimDuration::from_millis),
+                SimDuration::from_millis(recovery_ms),
+            )
+        });
 
     let mut rows = Vec::new();
     let mut points = Vec::new();

@@ -95,8 +95,17 @@ fn main() {
     print_table(
         "Hot-key L0 ablation (95% reads)",
         &[
-            "arch", "alpha", "val_B", "l0_kB", "mode", "l0_abs", "stale", "age_p99_us",
-            "cpu_us/req", "p50_us", "total/mo",
+            "arch",
+            "alpha",
+            "val_B",
+            "l0_kB",
+            "mode",
+            "l0_abs",
+            "stale",
+            "age_p99_us",
+            "cpu_us/req",
+            "p50_us",
+            "total/mo",
         ],
         &rows,
     );
@@ -125,7 +134,9 @@ fn main() {
             1.6,
         ) {
             Some(a) => println!("  {entry_bytes:>8.0} B values: L0 wins from alpha >= {a:.2}"),
-            None => println!("  {entry_bytes:>8.0} B values: batching keeps winning below alpha 1.6"),
+            None => {
+                println!("  {entry_bytes:>8.0} B values: batching keeps winning below alpha 1.6")
+            }
         }
     }
     let m = TheoryModel::new(TheoryParams {

@@ -49,8 +49,9 @@ fn main() {
             }
         }
     }
-    let costs = SweepRunner::from_env()
-        .run_map(&specs, |_, &(value_bytes, mult, arch)| run(arch, mult, value_bytes));
+    let costs = SweepRunner::from_env().run_map(&specs, |_, &(value_bytes, mult, arch)| {
+        run(arch, mult, value_bytes)
+    });
 
     let mut rows = Vec::new();
     let mut points = Vec::new();

@@ -74,7 +74,14 @@ fn main() {
     }
     print_table(
         "Session service: cost vs correctness",
-        &["arch", "total/mo", "saving", "bad reads/M", "p50_us", "linearizable"],
+        &[
+            "arch",
+            "total/mo",
+            "saving",
+            "bad reads/M",
+            "p50_us",
+            "linearizable",
+        ],
         &rows,
     );
     write_json("exp_sessions", &points);

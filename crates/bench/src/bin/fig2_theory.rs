@@ -117,7 +117,13 @@ fn main() {
         let dram_cost = m.total_cost(dram_best, 1.0);
         let hybrid = HybridModel::new(&m, SsdTier::default());
         let alloc = hybrid.optimize(1.0, 128.0, 512.0);
-        ssd_sweep.push((alpha, dram_cost, alloc.dram_gb, alloc.ssd_gb, alloc.monthly_cost));
+        ssd_sweep.push((
+            alpha,
+            dram_cost,
+            alloc.dram_gb,
+            alloc.ssd_gb,
+            alloc.monthly_cost,
+        ));
         rows.push(vec![
             format!("{alpha:.1}"),
             format!("{dram_best:.1}GB"),
@@ -130,7 +136,15 @@ fn main() {
     }
     print_table(
         "Section 7 extension: optimal DRAM-only vs DRAM+SSD hybrid (230GB dataset)",
-        &["alpha", "DRAM-only s_A", "cost", "hybrid DRAM", "hybrid SSD", "cost", "gain"],
+        &[
+            "alpha",
+            "DRAM-only s_A",
+            "cost",
+            "hybrid DRAM",
+            "hybrid SSD",
+            "cost",
+            "gain",
+        ],
         &rows,
     );
 

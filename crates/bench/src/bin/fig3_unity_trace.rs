@@ -24,7 +24,9 @@ fn main() {
     let dataset = UnityDataset::new(scale);
 
     // (a) object size distribution.
-    let mut sizes: Vec<u64> = (0..scale.tables).map(|t| dataset.object_logical_bytes(t)).collect();
+    let mut sizes: Vec<u64> = (0..scale.tables)
+        .map(|t| dataset.object_logical_bytes(t))
+        .collect();
     sizes.sort_unstable();
     let pct = |q: f64| sizes[((sizes.len() - 1) as f64 * q) as usize];
     let size_percentiles: Vec<(String, u64)> = [
@@ -77,7 +79,11 @@ fn main() {
     let read_ratio = reads as f64 / draws as f64;
     println!("\nread ratio: {read_ratio:.3} (paper: ~0.93)");
     println!("median object size: {} bytes (paper: ~23KB)", pct(0.5));
-    println!("distinct tables touched: {} of {}", counts.len(), scale.tables);
+    println!(
+        "distinct tables touched: {} of {}",
+        counts.len(),
+        scale.tables
+    );
 
     write_json(
         "fig3_unity_trace",

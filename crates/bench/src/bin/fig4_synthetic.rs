@@ -55,9 +55,10 @@ fn sweep(
         .iter()
         .flat_map(|&(x, r, v)| ArchKind::PAPER.iter().map(move |&a| (x, r, v, a)))
         .collect();
-    let reports = SweepRunner::from_env().run_map(&specs, |_, &(_, read_ratio, value_bytes, arch)| {
-        run_point(arch, read_ratio, value_bytes, warmup, measured)
-    });
+    let reports =
+        SweepRunner::from_env().run_map(&specs, |_, &(_, read_ratio, value_bytes, arch)| {
+            run_point(arch, read_ratio, value_bytes, warmup, measured)
+        });
 
     let mut rows = Vec::new();
     let mut base_cost = None;

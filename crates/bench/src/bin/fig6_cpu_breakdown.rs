@@ -73,10 +73,7 @@ fn main() {
                 value_bytes,
                 frontend_fixed_fraction: frac("sql_frontend", &["sql_frontend", "txn_lease"]),
                 app_client_fraction: frac("app", &["client_comm"]),
-                app_storage_fraction: frac(
-                    "app",
-                    &["rpc_stack", "serialization", "app_logic"],
-                ),
+                app_storage_fraction: frac("app", &["rpc_stack", "serialization", "app_logic"]),
                 memory_fraction: r.memory_cost_fraction(),
                 tier_cores,
             };
@@ -127,7 +124,10 @@ fn main() {
         .collect();
     println!(
         "\nDB fixed-overhead (conn/parse/plan/lease) share of frontend CPU for Base: {:?}",
-        base_db.iter().map(|f| format!("{:.0}%", f * 100.0)).collect::<Vec<_>>()
+        base_db
+            .iter()
+            .map(|f| format!("{:.0}%", f * 100.0))
+            .collect::<Vec<_>>()
     );
     let linked_mem: Vec<f64> = out
         .iter()
@@ -136,7 +136,10 @@ fn main() {
         .collect();
     println!(
         "Memory share of total cost for Linked: {:?} (paper: 6-22%); Base: {:?} (paper: 1-5%)",
-        linked_mem.iter().map(|f| format!("{:.1}%", f * 100.0)).collect::<Vec<_>>(),
+        linked_mem
+            .iter()
+            .map(|f| format!("{:.1}%", f * 100.0))
+            .collect::<Vec<_>>(),
         out.iter()
             .filter(|b| b.arch == "base")
             .map(|b| format!("{:.1}%", b.memory_fraction * 100.0))

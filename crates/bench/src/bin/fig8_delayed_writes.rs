@@ -35,7 +35,13 @@ fn main() {
 
     print_table(
         "Delayed-write scenario outcomes",
-        &["variant", "write admitted", "cache", "storage", "linearizable"],
+        &[
+            "variant",
+            "write admitted",
+            "cache",
+            "storage",
+            "linearizable",
+        ],
         &[
             vec![
                 "no fencing".into(),

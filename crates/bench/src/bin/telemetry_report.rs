@@ -76,8 +76,8 @@ fn main() {
         .iter()
         .flat_map(|&a| [a, a])
         .collect();
-    let mut runs = SweepRunner::from_env()
-        .run_map(&specs, |_, &arch| run_arch(arch, warmup, measured));
+    let mut runs =
+        SweepRunner::from_env().run_map(&specs, |_, &arch| run_arch(arch, warmup, measured));
 
     let mut summaries = Vec::new();
     let mut combined = telemetry::Registry::new();

@@ -760,10 +760,7 @@ pub fn ablation_ttl(runner: &SweepRunner) -> GoldenFigure {
                     ("count_ttl_decisions".into(), r.ttl_decisions as f64),
                     ("count_ttl_changes".into(), r.ttl_changes as f64),
                     ("count_expired".into(), r.expired_entries as f64),
-                    (
-                        "mean_resident_mb".into(),
-                        r.ttl_mean_resident_bytes / 1e6,
-                    ),
+                    ("mean_resident_mb".into(), r.ttl_mean_resident_bytes / 1e6),
                 ],
             )
         })

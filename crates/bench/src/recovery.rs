@@ -80,9 +80,18 @@ pub fn sweep_specs() -> Vec<RecoverySpec> {
             crashes: 2,
         });
         for knobs in [
-            DurabilityKnobs { fsync_group: 1, snapshot_every: 1_024 },
-            DurabilityKnobs { fsync_group: 8, snapshot_every: 1_024 },
-            DurabilityKnobs { fsync_group: 8, snapshot_every: 256 },
+            DurabilityKnobs {
+                fsync_group: 1,
+                snapshot_every: 1_024,
+            },
+            DurabilityKnobs {
+                fsync_group: 8,
+                snapshot_every: 1_024,
+            },
+            DurabilityKnobs {
+                fsync_group: 8,
+                snapshot_every: 256,
+            },
         ] {
             specs.push(RecoverySpec {
                 arch,
@@ -92,7 +101,10 @@ pub fn sweep_specs() -> Vec<RecoverySpec> {
         }
         specs.push(RecoverySpec {
             arch,
-            durability: Some(DurabilityKnobs { fsync_group: 8, snapshot_every: 1_024 }),
+            durability: Some(DurabilityKnobs {
+                fsync_group: 8,
+                snapshot_every: 1_024,
+            }),
             crashes: 4,
         });
     }
@@ -210,7 +222,10 @@ mod tests {
     fn durable_cell_maps_knobs_onto_the_config() {
         let spec = RecoverySpec {
             arch: ArchKind::Linked,
-            durability: Some(DurabilityKnobs { fsync_group: 1, snapshot_every: 256 }),
+            durability: Some(DurabilityKnobs {
+                fsync_group: 1,
+                snapshot_every: 256,
+            }),
             crashes: 4,
         };
         let cfg = experiment(&spec, 1_000, 2_000);
@@ -218,7 +233,10 @@ mod tests {
         assert!(d.enabled());
         assert_eq!(d.fsync, FsyncPolicy::EveryEntry);
         assert_eq!(d.snapshot_every_entries, 256);
-        assert_eq!(cfg.cache_fault_schedule.expect("schedule").events().len(), 8);
+        assert_eq!(
+            cfg.cache_fault_schedule.expect("schedule").events().len(),
+            8
+        );
     }
 
     #[test]

@@ -315,7 +315,10 @@ mod tests {
     #[test]
     fn specs_cover_the_grid_in_order() {
         let specs = sweep_specs();
-        assert_eq!(specs.len(), ARCHS.len() * Schedule::ALL.len() * Plane::ALL.len());
+        assert_eq!(
+            specs.len(),
+            ARCHS.len() * Schedule::ALL.len() * Plane::ALL.len()
+        );
         assert_eq!(
             specs[0],
             TtlSpec {
@@ -381,6 +384,9 @@ mod tests {
         assert!(q.tenants[1].storm.is_none());
         assert!(s.tenants[1].storm.is_some());
         assert_eq!(q.tenants[1].workload, s.tenants[1].workload);
-        assert!(quiet.deployment.ttl.enabled(), "isolation runs the TTL plane");
+        assert!(
+            quiet.deployment.ttl.enabled(),
+            "isolation runs the TTL plane"
+        );
     }
 }

@@ -271,7 +271,10 @@ mod tests {
         assert_eq!(tl.sketch.estimate(h("one-hit")), 0);
         assert_eq!(tl.estimate(h("one-hit")), 1);
         tl.record(h("one-hit"));
-        assert!(tl.estimate(h("one-hit")) >= 2, "second touch reaches the sketch");
+        assert!(
+            tl.estimate(h("one-hit")) >= 2,
+            "second touch reaches the sketch"
+        );
     }
 
     #[test]
@@ -296,7 +299,11 @@ mod tests {
         // threshold, never on the sketch's aging cycle as documented.
         let mut tl = TinyLfu::new(16); // sample_size = 160 additions/cycle
         tl.record(h("resident"));
-        assert_eq!(tl.estimate(h("resident")), 1, "doorkeeper holds the first touch");
+        assert_eq!(
+            tl.estimate(h("resident")),
+            1,
+            "doorkeeper holds the first touch"
+        );
         // Drive the sketch through an aging cycle: a dozen keys recorded
         // past the doorkeeper, each adding ~15 additions before saturating
         // — far too few distinct keys to trip the 25%-fill backstop.
@@ -396,6 +403,9 @@ mod tests {
                 hot_wins += 1;
             }
         }
-        assert!(hot_wins > 180, "sketch collisions too damaging: {hot_wins}/200");
+        assert!(
+            hot_wins > 180,
+            "sketch collisions too damaging: {hot_wins}/200"
+        );
     }
 }

@@ -649,7 +649,10 @@ mod tests {
                 rejected += 1;
             }
         }
-        assert!(rejected >= 190, "scan keys must be rejected: {rejected}/200");
+        assert!(
+            rejected >= 190,
+            "scan keys must be rejected: {rejected}/200"
+        );
         // Hot set intact.
         let resident = (0..20u64).filter(|k| c.contains(k, 0)).count();
         assert!(resident >= 18, "hot set was washed out: {resident}/20");
@@ -674,11 +677,17 @@ mod tests {
     fn tinylfu_never_gates_replacements_or_free_inserts() {
         let mut c: Cache<u64, u64> = Cache::lru(1 << 20).with_tinylfu(64);
         // Fits for free: always admitted.
-        assert!(matches!(c.insert(1, 10, 100, 0), InsertOutcome::Inserted { .. }));
+        assert!(matches!(
+            c.insert(1, 10, 100, 0),
+            InsertOutcome::Inserted { .. }
+        ));
         // Same-key replacement: always admitted even when full.
         let mut small: Cache<u64, u64> = Cache::lru(164).with_tinylfu(64);
         small.insert(1, 10, 100, 0);
-        assert!(matches!(small.insert(1, 20, 100, 0), InsertOutcome::Replaced { .. }));
+        assert!(matches!(
+            small.insert(1, 20, 100, 0),
+            InsertOutcome::Replaced { .. }
+        ));
         assert_eq!(small.get(&1, 0), Some(&20));
     }
 
@@ -778,7 +787,10 @@ mod tests {
         c.set_default_ttl(Some(100));
         assert_eq!(c.default_ttl_nanos(), Some(100));
         c.insert("new".into(), 2, 10, T0);
-        assert!(c.contains("old", 1_000), "pre-change entries keep their deadline");
+        assert!(
+            c.contains("old", 1_000),
+            "pre-change entries keep their deadline"
+        );
         assert!(!c.contains("new", 1_000));
         c.set_default_ttl(None);
         c.insert("later".into(), 3, 10, T0);
@@ -830,11 +842,8 @@ mod tests {
                 }
             }
             if step % 97 == 0 {
-                let expected: Vec<u64> = c
-                    .keys()
-                    .copied()
-                    .filter(|k| !c.contains(k, step))
-                    .collect();
+                let expected: Vec<u64> =
+                    c.keys().copied().filter(|k| !c.contains(k, step)).collect();
                 assert_eq!(c.expire_sweep(step), expected.len(), "step {step}");
                 for k in expected {
                     assert!(c.peek(&k).is_none(), "step {step}: {k} survived sweep");

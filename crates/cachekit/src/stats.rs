@@ -131,8 +131,14 @@ mod tests {
             ..Default::default()
         };
         s.export(&mut reg, "cache_", &[("shard", "0")]);
-        assert_eq!(reg.counter_value("cache_hits_total", &[("shard", "0")]), Some(3));
-        assert_eq!(reg.gauge_value("cache_hit_ratio", &[("shard", "0")]), Some(0.75));
+        assert_eq!(
+            reg.counter_value("cache_hits_total", &[("shard", "0")]),
+            Some(3)
+        );
+        assert_eq!(
+            reg.gauge_value("cache_hit_ratio", &[("shard", "0")]),
+            Some(0.75)
+        );
     }
 
     #[test]

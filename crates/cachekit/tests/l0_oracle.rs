@@ -65,18 +65,24 @@ fn run_oracle(mode: L0Mode, seed: u64, ops: u64) {
             // Read-and-fill: the common serve path.
             0..=5 => {
                 gets += 1;
-                let hit = l0.get(&key, now).map(|h| (*h.value, h.version, h.age_nanos));
+                let hit = l0
+                    .get(&key, now)
+                    .map(|h| (*h.value, h.version, h.age_nanos));
                 if let Some(((vk, vv), version, age)) = hit {
-                    let p = possible
-                        .get(&key)
-                        .unwrap_or_else(|| panic!("step {step}: hit on a key the oracle ruled absent"));
+                    let p = possible.get(&key).unwrap_or_else(|| {
+                        panic!("step {step}: hit on a key the oracle ruled absent")
+                    });
                     assert_eq!(version, p.version, "step {step}: served version diverged");
                     assert_eq!(
                         age,
                         now - p.stored_at,
                         "step {step}: age not measured from the storing admit"
                     );
-                    assert_eq!((vk, vv), (key, version), "step {step}: served value diverged");
+                    assert_eq!(
+                        (vk, vv),
+                        (key, version),
+                        "step {step}: served value diverged"
+                    );
                     if let L0Mode::ServeStale { stale_after_nanos } = mode {
                         assert!(
                             age < stale_after_nanos,
@@ -88,7 +94,13 @@ fn run_oracle(mode: L0Mode, seed: u64, ops: u64) {
                     let version = *authoritative.entry(key).or_insert(1);
                     admits += 1;
                     if l0.admit(key, (key, version), version, 16 + rng.below(112), now) {
-                        possible.insert(key, Possible { version, stored_at: now });
+                        possible.insert(
+                            key,
+                            Possible {
+                                version,
+                                stored_at: now,
+                            },
+                        );
                     }
                 }
             }
@@ -110,7 +122,10 @@ fn run_oracle(mode: L0Mode, seed: u64, ops: u64) {
                             );
                         }
                     } else {
-                        assert!(!removed, "step {step}: invalidation removed a ruled-absent entry");
+                        assert!(
+                            !removed,
+                            "step {step}: invalidation removed a ruled-absent entry"
+                        );
                     }
                 }
             }
@@ -128,7 +143,13 @@ fn run_oracle(mode: L0Mode, seed: u64, ops: u64) {
                 let drops_before = l0.stats().stale_admits_dropped;
                 admits += 1;
                 if l0.admit(key, (key, old), old, 64, now) {
-                    possible.insert(key, Possible { version: old, stored_at: now });
+                    possible.insert(
+                        key,
+                        Possible {
+                            version: old,
+                            stored_at: now,
+                        },
+                    );
                 } else if l0.stats().stale_admits_dropped > drops_before {
                     let p = possible.get(&key).unwrap_or_else(|| {
                         panic!("step {step}: stale-drop against a ruled-absent entry")
@@ -146,7 +167,13 @@ fn run_oracle(mode: L0Mode, seed: u64, ops: u64) {
                 let scan_key = KEYS + rng.below(1_000);
                 admits += 1;
                 if l0.admit(scan_key, (scan_key, 1), 1, 64, now) {
-                    possible.insert(scan_key, Possible { version: 1, stored_at: now });
+                    possible.insert(
+                        scan_key,
+                        Possible {
+                            version: 1,
+                            stored_at: now,
+                        },
+                    );
                 }
             }
         }
@@ -176,7 +203,10 @@ fn run_oracle(mode: L0Mode, seed: u64, ops: u64) {
     // actual invalidations.
     assert!(s.hits > 0, "vacuous run: no hits");
     assert!(s.admitted > 0, "vacuous run: nothing admitted");
-    assert!(s.rejected > 0, "vacuous run: the admission gate never fired");
+    assert!(
+        s.rejected > 0,
+        "vacuous run: the admission gate never fired"
+    );
     if !matches!(mode, L0Mode::ServeStale { .. }) {
         assert!(s.invalidations > 0, "vacuous run: nothing invalidated");
     }

@@ -57,7 +57,9 @@ impl ShardedOracle {
     }
 
     fn contains(&self, key: &[u8]) -> bool {
-        self.shards[self.owner(key)].iter().any(|(k, _, _)| k == key)
+        self.shards[self.owner(key)]
+            .iter()
+            .any(|(k, _, _)| k == key)
     }
 
     fn get(&mut self, key: &[u8]) -> Option<u32> {
@@ -82,13 +84,12 @@ impl ShardedOracle {
             return InsertOutcome::TooLarge;
         }
         let shard = self.owner(key);
-        let replaced =
-            if let Some(pos) = self.shards[shard].iter().position(|(k, _, _)| k == key) {
-                self.shards[shard].remove(pos);
-                true
-            } else {
-                false
-            };
+        let replaced = if let Some(pos) = self.shards[shard].iter().position(|(k, _, _)| k == key) {
+            self.shards[shard].remove(pos);
+            true
+        } else {
+            false
+        };
         let mut evicted = 0;
         while self.shard_used(shard) + charge > self.per_shard_capacity {
             self.shards[shard].pop_back();
@@ -189,13 +190,21 @@ fn check_trace(shard_count: u32, ops: &[Op]) {
     assert_eq!(cache.stats(), oracle.stats);
     for k in 0..KEY_UNIVERSE {
         let key = key_bytes(k);
-        assert_eq!(cache.contains(&key, 0), oracle.contains(&key), "residency of key{k}");
+        assert_eq!(
+            cache.contains(&key, 0),
+            oracle.contains(&key),
+            "residency of key{k}"
+        );
     }
     let mut summed = CacheStats::default();
     for s in 0..shard_count as usize {
         summed += *cache.shard_stats(s);
     }
-    assert_eq!(summed, cache.stats(), "shard stats must partition the aggregate");
+    assert_eq!(
+        summed,
+        cache.stats(),
+        "shard stats must partition the aggregate"
+    );
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -244,8 +253,8 @@ fn sharded_cache_matches_oracle_on_edge_traces() {
     check_trace(
         3,
         &[
-            Op::Insert(1, exact_fit), // fills its whole shard
-            Op::Insert(1, exact_fit), // same-key replacement at full capacity
+            Op::Insert(1, exact_fit),     // fills its whole shard
+            Op::Insert(1, exact_fit),     // same-key replacement at full capacity
             Op::Insert(2, exact_fit + 1), // rejected: larger than a shard
             Op::Get(1),
             Op::Remove(1),

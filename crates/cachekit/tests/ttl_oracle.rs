@@ -154,7 +154,11 @@ fn drive(cache: &mut Cache<u64, u64>, shadow: &mut Shadow, seed: u64, ops: u64, 
                 if exact {
                     assert_eq!(got, want.map(|e| e.value), "step {step}: remove diverged");
                 } else if let Some(v) = got {
-                    assert_eq!(Some(v), want.map(|e| e.value), "step {step}: removed wrong value");
+                    assert_eq!(
+                        Some(v),
+                        want.map(|e| e.value),
+                        "step {step}: removed wrong value"
+                    );
                 }
             }
             // Eager sweep.
@@ -180,31 +184,54 @@ fn drive(cache: &mut Cache<u64, u64>, shadow: &mut Shadow, seed: u64, ops: u64, 
             }
         }
         if exact {
-            assert_eq!(cache.len(), shadow.map.len(), "step {step}: length diverged");
-            assert_eq!(cache.used_bytes(), shadow.used_bytes(), "step {step}: used bytes");
+            assert_eq!(
+                cache.len(),
+                shadow.map.len(),
+                "step {step}: length diverged"
+            );
+            assert_eq!(
+                cache.used_bytes(),
+                shadow.used_bytes(),
+                "step {step}: used bytes"
+            );
             assert_eq!(
                 cache.resident_bytes(now),
                 shadow.resident_bytes(now),
                 "step {step}: resident bytes diverged"
             );
         } else {
-            assert!(cache.used_bytes() <= cache.capacity_bytes(), "step {step}: cap breached");
-            assert!(cache.resident_bytes(now) <= cache.used_bytes(), "step {step}");
+            assert!(
+                cache.used_bytes() <= cache.capacity_bytes(),
+                "step {step}: cap breached"
+            );
+            assert!(
+                cache.resident_bytes(now) <= cache.used_bytes(),
+                "step {step}"
+            );
         }
     }
 
     // The stream must exercise the machinery, not miss its way through.
     assert!(hits > 0, "vacuous run: no hits");
     assert!(inserts > 0, "vacuous run: no inserts");
-    assert!(sweeps_reclaimed > 0, "vacuous run: sweeps never reclaimed anything");
-    assert!(cache.stats().expired > 0, "vacuous run: nothing ever expired");
+    assert!(
+        sweeps_reclaimed > 0,
+        "vacuous run: sweeps never reclaimed anything"
+    );
+    assert!(
+        cache.stats().expired > 0,
+        "vacuous run: nothing ever expired"
+    );
 }
 
 #[test]
 fn uncapped_cache_matches_the_oracle_exactly() {
     for seed in [7, 42, 4242] {
         let mut cache: Cache<u64, u64> = Cache::lru(1 << 30);
-        let mut shadow = Shadow { map: BTreeMap::new(), default_ttl: None };
+        let mut shadow = Shadow {
+            map: BTreeMap::new(),
+            default_ttl: None,
+        };
         drive(&mut cache, &mut shadow, seed, 20_000, true);
     }
 }
@@ -215,8 +242,14 @@ fn capped_cache_is_fail_open_but_never_serves_ghosts() {
         // ~6 entries' worth of bytes: evictions are constant even though
         // expiry keeps trimming the resident set.
         let mut cache: Cache<u64, u64> = Cache::lru(6 * 192);
-        let mut shadow = Shadow { map: BTreeMap::new(), default_ttl: None };
+        let mut shadow = Shadow {
+            map: BTreeMap::new(),
+            default_ttl: None,
+        };
         drive(&mut cache, &mut shadow, seed, 20_000, false);
-        assert!(cache.stats().evictions > 0, "capped run must actually evict");
+        assert!(
+            cache.stats().evictions > 0,
+            "capped run must actually evict"
+        );
     }
 }

@@ -66,7 +66,12 @@ pub struct ResourceUsage {
 
 impl ResourceUsage {
     pub fn new(cores: f64, mem_gb: f64, disk_gb: f64) -> Self {
-        ResourceUsage { cores, mem_gb, disk_gb, ssd_gb: 0.0 }
+        ResourceUsage {
+            cores,
+            mem_gb,
+            disk_gb,
+            ssd_gb: 0.0,
+        }
     }
 
     /// The same bundle with an SSD residency attached.
@@ -177,7 +182,12 @@ mod tests {
 
     #[test]
     fn memory_fraction_bounds() {
-        let c = CostBreakdown { compute: 90.0, memory: 10.0, disk: 0.0, ssd: 0.0 };
+        let c = CostBreakdown {
+            compute: 90.0,
+            memory: 10.0,
+            disk: 0.0,
+            ssd: 0.0,
+        };
         assert!((c.memory_fraction() - 0.1).abs() < 1e-12);
         assert_eq!(CostBreakdown::default().memory_fraction(), 0.0);
     }

@@ -186,7 +186,10 @@ mod tests {
             .map(|&s_f| hybrid.total_cost(2.0, s_f, 1.0))
             .collect();
         for w in costs.windows(2) {
-            assert!(w[1] <= w[0] + 1e-9, "flash growth must not raise cost: {costs:?}");
+            assert!(
+                w[1] <= w[0] + 1e-9,
+                "flash growth must not raise cost: {costs:?}"
+            );
         }
         // And it always costs less than no cache at all.
         assert!(costs[3] < hybrid.total_cost(0.0, 0.0, 1.0));

@@ -59,10 +59,7 @@ impl ArchKind {
     pub const fn has_linked_cache(self) -> bool {
         matches!(
             self,
-            ArchKind::Linked
-                | ArchKind::LinkedVersion
-                | ArchKind::LeaseOwned
-                | ArchKind::LinkedTtl
+            ArchKind::Linked | ArchKind::LinkedVersion | ArchKind::LeaseOwned | ArchKind::LinkedTtl
         )
     }
 
@@ -511,7 +508,10 @@ mod tests {
         assert!(ArchKind::LinkedVersion.is_consistent());
         assert!(ArchKind::LeaseOwned.is_consistent());
         assert!(!ArchKind::Linked.is_consistent());
-        assert!(ArchKind::Base.is_consistent(), "reading storage is linearizable");
+        assert!(
+            ArchKind::Base.is_consistent(),
+            "reading storage is linearizable"
+        );
         assert!(!ArchKind::LinkedTtl.is_consistent());
         assert!(ArchKind::LinkedTtl.has_linked_cache());
         assert!(!ArchKind::LinkedTtl.linked_cache_is_sharded());
@@ -551,10 +551,7 @@ mod tests {
         assert_eq!(p.backoff(2, 0.0), SimDuration::from_millis(4));
         assert_eq!(p.backoff(3, 0.0), SimDuration::from_millis(4), "capped");
         // Jitter only ever lengthens the wait, bounded by the fraction.
-        let j = RetryPolicy {
-            jitter: 0.5,
-            ..p
-        };
+        let j = RetryPolicy { jitter: 0.5, ..p };
         let b = j.backoff(0, 0.999);
         assert!(b >= SimDuration::from_millis(1));
         assert!(b < SimDuration::from_micros(1_500) + SimDuration::from_micros(1));
@@ -583,10 +580,7 @@ mod tests {
         // At the cap, jitter has nothing left to stretch; below it, jitter
         // still applies in full.
         assert_eq!(p.backoff(2, 0.999), p.max_backoff);
-        assert_eq!(
-            p.backoff(0, 0.5),
-            SimDuration::from_secs_f64(0.001 * 1.25)
-        );
+        assert_eq!(p.backoff(0, 0.5), SimDuration::from_secs_f64(0.001 * 1.25));
     }
 
     #[test]
@@ -600,7 +594,10 @@ mod tests {
     #[test]
     fn batching_defaults_off_and_amortizes_when_on() {
         let b = BatchingConfig::default();
-        assert!(!b.enabled(), "batching must be opt-in: goldens assume one RPC per lookup");
+        assert!(
+            !b.enabled(),
+            "batching must be opt-in: goldens assume one RPC per lookup"
+        );
         assert!(!b.windowed());
         let on = BatchingConfig {
             batch_window_us: 200.0,

@@ -178,11 +178,8 @@ pub fn delayed_write_scenario(fencing: bool) -> StoreResult<ScenarioOutcome> {
 
     // t=1ms: client write of 2 through A; stamped with A's epoch; delayed.
     let issue_epoch = sharder.epoch(shard);
-    let delayed = cluster.begin_delayed_write(
-        "UPDATE kv SET v = ? WHERE k = 1",
-        &[Datum::Int(2)],
-        ms(1),
-    )?;
+    let delayed =
+        cluster.begin_delayed_write("UPDATE kv SET v = ? WHERE k = 1", &[Datum::Int(2)], ms(1))?;
 
     // t=2ms: ownership transfer A → B (epoch bump). A drops its range and
     // is out of the picture from here on.
@@ -190,7 +187,12 @@ pub fn delayed_write_scenario(fencing: bool) -> StoreResult<ScenarioOutcome> {
 
     // B warms its cache from storage: reads the current committed value.
     let read = cluster.execute("SELECT v FROM kv WHERE k = 1", &[], ms(2))?;
-    let mut cache_b: Option<u64> = read.rows.first().and_then(|r| r.get(0)).and_then(|d| d.as_int()).map(|v| v as u64);
+    let mut cache_b: Option<u64> = read
+        .rows
+        .first()
+        .and_then(|r| r.get(0))
+        .and_then(|d| d.as_int())
+        .map(|v| v as u64);
 
     // t=3ms: the delayed write finally reaches storage.
     let admitted = if fencing && !sharder.admit_write(shard, issue_epoch) {
@@ -327,7 +329,8 @@ pub fn delayed_write_scenario_des(fencing: bool) -> StoreResult<ScenarioOutcome>
             w.delayed_write_admitted = false;
         } else {
             w.cluster.commit_delayed(dw, s.now()).expect("commit");
-            w.history.push(HistoryOp::write(2, SimTime::from_nanos(1_000_000), s.now()));
+            w.history
+                .push(HistoryOp::write(2, SimTime::from_nanos(1_000_000), s.now()));
             w.delayed_write_admitted = true;
         }
     });
@@ -458,9 +461,18 @@ mod tests {
         for fencing in [false, true] {
             let a = delayed_write_scenario(fencing).unwrap();
             let b = delayed_write_scenario_des(fencing).unwrap();
-            assert_eq!(a.delayed_write_admitted, b.delayed_write_admitted, "fencing={fencing}");
-            assert_eq!(a.final_cache_value, b.final_cache_value, "fencing={fencing}");
-            assert_eq!(a.final_storage_value, b.final_storage_value, "fencing={fencing}");
+            assert_eq!(
+                a.delayed_write_admitted, b.delayed_write_admitted,
+                "fencing={fencing}"
+            );
+            assert_eq!(
+                a.final_cache_value, b.final_cache_value,
+                "fencing={fencing}"
+            );
+            assert_eq!(
+                a.final_storage_value, b.final_storage_value,
+                "fencing={fencing}"
+            );
             assert_eq!(a.linearizable, b.linearizable, "fencing={fencing}");
         }
     }

@@ -98,7 +98,11 @@ fn check_split(splits: &[Vec<i64>]) {
 
     let frames = bat.metrics.counter_value(batch_counters::RPC_BATCHES);
     let carried = bat.metrics.counter_value(batch_counters::BATCHED_RPC_KEYS);
-    assert_eq!(carried, keys.len() as u64, "every key rides exactly one frame");
+    assert_eq!(
+        carried,
+        keys.len() as u64,
+        "every key rides exactly one frame"
+    );
     let followers = carried - frames;
     assert_eq!(
         cpu_ns(&seq) - cpu_ns(&bat),
@@ -106,7 +110,11 @@ fn check_split(splits: &[Vec<i64>]) {
         "CPU must differ by exactly the amortized-RPC constant per follower"
     );
     // The histogram accounts for every key exactly once.
-    let histo: u64 = bat.batch_size_counts.iter().map(|(&s, &c)| s as u64 * c).sum();
+    let histo: u64 = bat
+        .batch_size_counts
+        .iter()
+        .map(|(&s, &c)| s as u64 * c)
+        .sum();
     assert_eq!(histo, carried);
 }
 
@@ -137,7 +145,9 @@ fn lcg_random_splits_match_sequential() {
     // boundaries, shuffled key order, duplicate keys across frames.
     let mut state = 0x2545f4914f6cdd1du64;
     let mut rng = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (state >> 33) as usize
     };
     for _case in 0..24 {

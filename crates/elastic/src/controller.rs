@@ -158,7 +158,11 @@ mod tests {
     fn hot_cold_key(i: u64) -> Vec<u8> {
         // 90% of traffic over 32 hot keys, the rest over 4096 cold ones.
         let r = cachekit::ring::splitmix64(i);
-        let k = if r % 10 < 9 { r % 32 } else { 32 + (r / 16) % 4_096 };
+        let k = if r % 10 < 9 {
+            r % 32
+        } else {
+            32 + (r / 16) % 4_096
+        };
         format!("key-{k}").into_bytes()
     }
 
@@ -181,7 +185,11 @@ mod tests {
         assert!(!cfg.enabled());
         let mut c = ElasticController::new(cfg);
         c.observe(b"k");
-        assert_eq!(c.profiler().raw_accesses(), 0, "disabled observe is a no-op");
+        assert_eq!(
+            c.profiler().raw_accesses(),
+            0,
+            "disabled observe is a no-op"
+        );
         assert_eq!(c.maybe_decide(1_000.0, &Pricing::default()), None);
         assert_eq!(c.decisions(), 0);
     }
@@ -190,7 +198,11 @@ mod tests {
     fn decisions_fire_on_the_interval_and_track_load() {
         let mut c = ElasticController::new(enabled_cfg());
         let pricing = Pricing::default();
-        assert_eq!(c.maybe_decide(0.0, &pricing), None, "first tick only opens window");
+        assert_eq!(
+            c.maybe_decide(0.0, &pricing),
+            None,
+            "first tick only opens window"
+        );
         for i in 0..20_000u64 {
             c.observe(&hot_cold_key(i));
         }
@@ -218,7 +230,9 @@ mod tests {
                 c.observe(&hot_cold_key(i));
                 i += 1;
             }
-            let p = c.maybe_decide(round as f64 * 10.0, &pricing).expect("decision");
+            let p = c
+                .maybe_decide(round as f64 * 10.0, &pricing)
+                .expect("decision");
             sizes.push(p.cache_bytes);
         }
         // Early rounds may step as the curve's cold tail fills in, but the
@@ -229,7 +243,11 @@ mod tests {
             tail.windows(2).all(|w| w[0] == w[1]),
             "plan flapped under steady load: {sizes:?}"
         );
-        assert!(c.plan_changes() <= 3, "{} changes: {sizes:?}", c.plan_changes());
+        assert!(
+            c.plan_changes() <= 3,
+            "{} changes: {sizes:?}",
+            c.plan_changes()
+        );
         // Collapse runs; a size reappearing after a different one is an
         // A→B→A oscillation the hysteresis exists to prevent.
         let mut runs = sizes.clone();

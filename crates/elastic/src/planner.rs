@@ -131,7 +131,9 @@ fn price(
     let provisioned_cores = used_cores / cfg.target_utilization.max(1e-6);
     let shards = cache_bytes.div_ceil(cfg.bytes_per_shard.max(1)).max(1) as u32;
     let per_shard_bytes = cache_bytes.div_ceil(shards as u64);
-    let vms = (provisioned_cores / cfg.vcpus_per_node.max(1.0)).ceil().max(1.0) as u32;
+    let vms = (provisioned_cores / cfg.vcpus_per_node.max(1.0))
+        .ceil()
+        .max(1.0) as u32;
     let monthly = provisioned_cores * pricing.cpu_core_month
         + (cache_bytes as f64 / (1u64 << 30) as f64) * pricing.mem_gb_month
         + (ssd_bytes as f64 / (1u64 << 30) as f64) * pricing.ssd_gb_month;
@@ -194,8 +196,14 @@ pub fn plan(
     let spills = ssd_candidates(cfg);
     // The floor reference stays the largest DRAM-only candidate, so adding
     // the SSD dimension never *relaxes* the degradation bound.
-    let reference =
-        price(curve, rps, *sizes.last().expect("non-empty grid"), 0, cfg, pricing);
+    let reference = price(
+        curve,
+        rps,
+        *sizes.last().expect("non-empty grid"),
+        0,
+        cfg,
+        pricing,
+    );
     let floor = reference.predicted_miss_ratio + cfg.max_miss_ratio_delta;
     let mut best = reference;
     for &s in &sizes {
@@ -215,8 +223,7 @@ pub fn plan(
         // challenger clears the hysteresis margin.
         let incumbent = price(curve, rps, prev.cache_bytes, prev.ssd_bytes, cfg, pricing);
         let margin = incumbent.monthly_dollars * (1.0 - cfg.hysteresis_fraction);
-        if (best.cache_bytes, best.ssd_bytes)
-            != (incumbent.cache_bytes, incumbent.ssd_bytes)
+        if (best.cache_bytes, best.ssd_bytes) != (incumbent.cache_bytes, incumbent.ssd_bytes)
             && best.monthly_dollars >= margin
         {
             return incumbent;

@@ -65,7 +65,9 @@ struct Fenwick {
 
 impl Fenwick {
     fn with_capacity(n: usize) -> Self {
-        Fenwick { tree: vec![0; n + 1] }
+        Fenwick {
+            tree: vec![0; n + 1],
+        }
     }
 
     fn capacity(&self) -> usize {
@@ -394,7 +396,11 @@ mod tests {
             for i in 0..50_000u64 {
                 sh.observe(&key(cachekit::ring::splitmix64(i) % 5_000));
             }
-            (format!("{:?}", sh.curve().points), sh.rate(), sh.tracked_keys())
+            (
+                format!("{:?}", sh.curve().points),
+                sh.rate(),
+                sh.tracked_keys(),
+            )
         };
         assert_eq!(run(), run());
     }

@@ -71,7 +71,10 @@ pub struct AgeHistogramConfig {
 
 impl Default for AgeHistogramConfig {
     fn default() -> Self {
-        AgeHistogramConfig { max_tracked_keys: 16_384, history_decay: 0.5 }
+        AgeHistogramConfig {
+            max_tracked_keys: 16_384,
+            history_decay: 0.5,
+        }
     }
 }
 
@@ -150,7 +153,10 @@ impl AgeHistogram {
         match self.tracked.get_mut(&hash) {
             Some(t) => {
                 let age = now_nanos.saturating_sub(t.last_seen_nanos);
-                let b = self.buckets.get_mut(bucket_of(age)).expect("bucket in range");
+                let b = self
+                    .buckets
+                    .get_mut(bucket_of(age))
+                    .expect("bucket in range");
                 b.w += weight;
                 b.wb += weight * t.bytes as f64;
                 b.wba += weight * t.bytes as f64 * (age as f64 * 1e-9);
@@ -159,7 +165,13 @@ impl AgeHistogram {
             }
             None => {
                 self.cold_w += weight;
-                self.tracked.insert(hash, Tracked { last_seen_nanos: now_nanos, bytes });
+                self.tracked.insert(
+                    hash,
+                    Tracked {
+                        last_seen_nanos: now_nanos,
+                        bytes,
+                    },
+                );
                 if self.tracked.len() > self.cfg.max_tracked_keys {
                     self.halve_rate();
                 }
@@ -292,7 +304,10 @@ impl TtlConfig {
 
     /// An enabled config with the given cadence, other knobs default.
     pub fn with_interval(decision_interval_secs: f64) -> Self {
-        TtlConfig { decision_interval_secs, ..TtlConfig::default() }
+        TtlConfig {
+            decision_interval_secs,
+            ..TtlConfig::default()
+        }
     }
 }
 
@@ -312,7 +327,13 @@ pub struct TtlPlan {
 }
 
 /// Price one candidate TTL at the given load.
-fn price_ttl(hist: &AgeHistogram, rps: f64, ttl_secs: f64, cfg: &TtlConfig, pricing: &Pricing) -> TtlPlan {
+fn price_ttl(
+    hist: &AgeHistogram,
+    rps: f64,
+    ttl_secs: f64,
+    cfg: &TtlConfig,
+    pricing: &Pricing,
+) -> TtlPlan {
     let hit = hist.hit_ratio(ttl_secs);
     let resident = hist.mean_resident_bytes(ttl_secs);
     let cpu_us = cfg.hit_cpu_us + (1.0 - hit) * cfg.miss_cpu_us;
@@ -497,7 +518,11 @@ mod tests {
         assert!(!cfg.enabled());
         let mut c = TtlController::new(cfg);
         c.observe_hashed(7, 100, 0);
-        assert_eq!(c.histogram().raw_accesses(), 0, "disabled observe is a no-op");
+        assert_eq!(
+            c.histogram().raw_accesses(),
+            0,
+            "disabled observe is a no-op"
+        );
         assert_eq!(c.maybe_decide(1_000.0, &Pricing::default()), None);
         assert_eq!(c.decisions(), 0);
         assert_eq!(c.current_ttl_nanos(), None);
@@ -509,8 +534,16 @@ mod tests {
         // re-reference, a 0.25 s TTL catches none.
         let mut h = AgeHistogram::new(AgeHistogramConfig::default());
         round_robin(&mut h, 64, 1.0, 20, 1_000);
-        assert!(h.hit_ratio(2.0) > 0.9, "long TTL must hit: {}", h.hit_ratio(2.0));
-        assert!(h.hit_ratio(0.25) < 0.05, "short TTL must miss: {}", h.hit_ratio(0.25));
+        assert!(
+            h.hit_ratio(2.0) > 0.9,
+            "long TTL must hit: {}",
+            h.hit_ratio(2.0)
+        );
+        assert!(
+            h.hit_ratio(0.25) < 0.05,
+            "short TTL must miss: {}",
+            h.hit_ratio(0.25)
+        );
     }
 
     #[test]
@@ -525,8 +558,14 @@ mod tests {
         let r_short = h.mean_resident_bytes(0.125);
         let r_gap = h.mean_resident_bytes(1.1);
         let r_long = h.mean_resident_bytes(600.0);
-        assert!(r_short < r_gap, "residency must grow with TTL: {r_short} vs {r_gap}");
-        assert!(r_gap > 30_000.0 && r_gap < 130_000.0, "~working set at the gap: {r_gap}");
+        assert!(
+            r_short < r_gap,
+            "residency must grow with TTL: {r_short} vs {r_gap}"
+        );
+        assert!(
+            r_gap > 30_000.0 && r_gap < 130_000.0,
+            "~working set at the gap: {r_gap}"
+        );
         // Long TTLs can't exceed span-average bounds by much: still ~WS
         // plus the open-interval tail.
         assert!(r_long >= r_gap, "{r_long} vs {r_gap}");
@@ -547,7 +586,13 @@ mod tests {
         // DRAM at 1000× list price, nearly-free misses → expire fast.
         let dear_mem = run(&Pricing::default().with_memory_multiplier(1_000.0), 1e-3);
         // Free-ish DRAM, dear misses → keep entries past the 1 s gap.
-        let dear_miss = run(&Pricing { mem_gb_month: 1e-6, ..Pricing::default() }, 500.0);
+        let dear_miss = run(
+            &Pricing {
+                mem_gb_month: 1e-6,
+                ..Pricing::default()
+            },
+            500.0,
+        );
         assert!(
             dear_mem.ttl_secs < 1.0,
             "dear DRAM must pick a sub-gap TTL: {}",
@@ -565,7 +610,11 @@ mod tests {
     fn decisions_fire_on_the_interval_and_steady_load_does_not_flap() {
         let mut c = TtlController::new(enabled_cfg());
         let pricing = Pricing::default();
-        assert_eq!(c.maybe_decide(0.0, &pricing), None, "first tick only opens window");
+        assert_eq!(
+            c.maybe_decide(0.0, &pricing),
+            None,
+            "first tick only opens window"
+        );
         let mut ttls = Vec::new();
         for round in 1..=8u64 {
             for i in 0..10_000u64 {
@@ -578,7 +627,9 @@ mod tests {
                 None,
                 "interval not elapsed"
             );
-            let p = c.maybe_decide(round as f64 * 10.0, &pricing).expect("decision fires");
+            let p = c
+                .maybe_decide(round as f64 * 10.0, &pricing)
+                .expect("decision fires");
             ttls.push(p.ttl_secs);
         }
         assert_eq!(c.decisions(), 8);
@@ -587,7 +638,11 @@ mod tests {
             tail.windows(2).all(|w| w[0] == w[1]),
             "TTL flapped under steady load: {ttls:?}"
         );
-        assert!(c.ttl_changes() <= 3, "{} changes: {ttls:?}", c.ttl_changes());
+        assert!(
+            c.ttl_changes() <= 3,
+            "{} changes: {ttls:?}",
+            c.ttl_changes()
+        );
     }
 
     #[test]

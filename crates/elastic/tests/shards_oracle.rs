@@ -32,7 +32,7 @@ fn skewed_trace(seed: u64, universe: u64, len: usize) -> Vec<u64> {
         .map(|_| {
             let r = splitmix64(state_mix(&mut state));
             let u = (r >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
-            // rank ∝ u^3 concentrates ~50% of draws on ~12% of keys.
+                                                            // rank ∝ u^3 concentrates ~50% of draws on ~12% of keys.
             ((u * u * u) * universe as f64) as u64
         })
         .collect()
@@ -130,7 +130,10 @@ fn adapted_profiler_still_tracks_the_oracle() {
         profiler.observe(&key_bytes(k));
         oracle.access(k);
     }
-    assert!(profiler.rate_adaptations() > 0, "budget must have forced adaptation");
+    assert!(
+        profiler.rate_adaptations() > 0,
+        "budget must have forced adaptation"
+    );
     let live = profiler.curve();
     let exact = oracle.curve();
     for &c in PROBES {

@@ -15,10 +15,7 @@ use netrpc::CacheServer;
 async fn main() -> std::io::Result<()> {
     let mut args = std::env::args().skip(1);
     let addr = args.next().unwrap_or_else(|| "127.0.0.1:7600".to_string());
-    let capacity_mib: u64 = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256);
+    let capacity_mib: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(256);
 
     let server = CacheServer::bind(&addr, capacity_mib << 20).await?;
     println!(

@@ -45,15 +45,22 @@ pub enum Request {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// GET hit: the value and its version.
-    Value { value: Vec<u8>, version: u64 },
+    Value {
+        value: Vec<u8>,
+        version: u64,
+    },
     /// GET/VERSION miss or DEL of an absent key.
     NotFound,
     /// SET acknowledged with the assigned version.
-    Stored { version: u64 },
+    Stored {
+        version: u64,
+    },
     /// DEL removed the key.
     Deleted,
     /// VERSION hit.
-    VersionIs { version: u64 },
+    VersionIs {
+        version: u64,
+    },
     /// Aggregate statistics.
     Stats {
         hits: u64,
@@ -63,14 +70,18 @@ pub enum Response {
     },
     Pong,
     /// Protocol or server error, with a human-readable reason.
-    Error { message: String },
+    Error {
+        message: String,
+    },
     /// MGET reply: one entry per requested key, in request order.
     /// `None` marks a miss.
     Values {
         items: Vec<Option<(Vec<u8>, u64)>>,
     },
     /// MSET acknowledged: the assigned versions, in request order.
-    StoredMany { versions: Vec<u64> },
+    StoredMany {
+        versions: Vec<u64>,
+    },
 }
 
 /// Errors surfaced while decoding.
@@ -433,7 +444,9 @@ mod tests {
             value: vec![],
             ttl_ms: Some(30_000),
         });
-        round_trip_request(Request::Del { key: b"gone".to_vec() });
+        round_trip_request(Request::Del {
+            key: b"gone".to_vec(),
+        });
         round_trip_request(Request::Version { key: b"v".to_vec() });
         round_trip_request(Request::Stats);
         round_trip_request(Request::Ping);
@@ -477,12 +490,7 @@ mod tests {
         });
         round_trip_response(Response::Values { items: vec![] });
         round_trip_response(Response::Values {
-            items: vec![
-                Some((vec![1; 64], 9)),
-                None,
-                Some((vec![], u64::MAX)),
-                None,
-            ],
+            items: vec![Some((vec![1; 64], 9)), None, Some((vec![], u64::MAX)), None],
         });
         round_trip_response(Response::StoredMany { versions: vec![] });
         round_trip_response(Response::StoredMany {
@@ -540,7 +548,10 @@ mod tests {
     #[test]
     fn partial_frames_report_incomplete_and_consume_nothing() {
         let mut buf = BytesMut::new();
-        Request::Get { key: b"abcdef".to_vec() }.encode(&mut buf);
+        Request::Get {
+            key: b"abcdef".to_vec(),
+        }
+        .encode(&mut buf);
         let full = buf.clone();
         for cut in 0..full.len() {
             let mut partial = BytesMut::from(&full[..cut]);

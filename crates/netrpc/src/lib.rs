@@ -51,7 +51,7 @@ pub mod resilient;
 pub mod server;
 
 pub use client::CacheClient;
-pub use obs::{shared_sink, SharedTraceSink};
 pub use codec::{Request, Response};
+pub use obs::{shared_sink, SharedTraceSink};
 pub use resilient::{ResilienceStats, ResilientClient, ResilientConfig, RetryPolicy};
 pub use server::{CacheServer, ServerHandle};

@@ -208,7 +208,9 @@ impl ResilientClient {
     /// How long the breaker stays open before the next half-open probe:
     /// `open_for` doubled per failed probe, capped at 2^10 ≈ 1000×.
     fn open_window(&self) -> Duration {
-        self.cfg.open_for.saturating_mul(1u32 << self.reopen_streak.min(10))
+        self.cfg
+            .open_for
+            .saturating_mul(1u32 << self.reopen_streak.min(10))
     }
 
     fn breaker_admit(&mut self) -> io::Result<()> {
@@ -555,7 +557,10 @@ mod tests {
         assert_eq!(c.open_window(), c.cfg.open_for * 4);
         // The old cool-down no longer admits: the window widened.
         c.opened_at = Some(Instant::now() - c.cfg.open_for * 2);
-        assert!(c.breaker_admit().is_err(), "must respect the backed-off window");
+        assert!(
+            c.breaker_admit().is_err(),
+            "must respect the backed-off window"
+        );
         assert!(c.circuit_open());
     }
 

@@ -106,9 +106,13 @@ impl Shared {
                 let entry = Entry { value, version };
                 match ttl_ms {
                     Some(t) => {
-                        store
-                            .cache
-                            .insert_with_ttl(key, entry, bytes, now, t.saturating_mul(1_000_000));
+                        store.cache.insert_with_ttl(
+                            key,
+                            entry,
+                            bytes,
+                            now,
+                            t.saturating_mul(1_000_000),
+                        );
                     }
                     None => {
                         store.cache.insert(key, entry, bytes, now);
@@ -332,7 +336,10 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert!(v2 > v1);
-        assert_eq!(shared.apply(Request::Del { key: b"k".to_vec() }), Response::Deleted);
+        assert_eq!(
+            shared.apply(Request::Del { key: b"k".to_vec() }),
+            Response::Deleted
+        );
         assert_eq!(
             shared.apply(Request::Get { key: b"k".to_vec() }),
             Response::NotFound
@@ -352,7 +359,9 @@ mod tests {
             ttl_ms: None,
         });
         shared.apply(Request::Get { key: b"a".to_vec() });
-        shared.apply(Request::Get { key: b"nope".to_vec() });
+        shared.apply(Request::Get {
+            key: b"nope".to_vec(),
+        });
         match shared.apply(Request::Stats) {
             Response::Stats {
                 hits,
@@ -431,7 +440,11 @@ mod tests {
             });
         }
         match shared.apply(Request::Stats) {
-            Response::Stats { entries, used_bytes, .. } => {
+            Response::Stats {
+                entries,
+                used_bytes,
+                ..
+            } => {
                 assert!(entries < 100);
                 assert!(used_bytes <= 1_000);
             }

@@ -19,7 +19,9 @@ async fn mget_equals_n_sequential_gets() {
     let mut client = CacheClient::connect(addr).await.unwrap();
 
     // Populate every third key so the batch mixes hits and misses.
-    let keys: Vec<Vec<u8>> = (0..32u32).map(|i| format!("key-{i}").into_bytes()).collect();
+    let keys: Vec<Vec<u8>> = (0..32u32)
+        .map(|i| format!("key-{i}").into_bytes())
+        .collect();
     for (i, key) in keys.iter().enumerate() {
         if i % 3 != 0 {
             let value = format!("value-{i}").into_bytes();
@@ -86,7 +88,10 @@ async fn mset_with_ttl_expires_the_whole_batch() {
     let (addr, handle) = start().await;
     let mut client = CacheClient::connect(addr).await.unwrap();
     client
-        .mset(&[(b"t1".as_slice(), b"x".as_slice()), (b"t2", b"y")], Some(30))
+        .mset(
+            &[(b"t1".as_slice(), b"x".as_slice()), (b"t2", b"y")],
+            Some(30),
+        )
         .await
         .unwrap();
     let live = client.mget(&[b"t1".as_slice(), b"t2"]).await.unwrap();

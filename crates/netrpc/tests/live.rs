@@ -48,7 +48,9 @@ async fn get_set_del_version_over_tcp() {
 async fn large_values_cross_the_wire_intact() {
     let (addr, handle) = start().await;
     let mut client = CacheClient::connect(addr).await.unwrap();
-    let value: Vec<u8> = (0..1_000_000u32).map(|i| (i.wrapping_mul(2654435761)) as u8).collect();
+    let value: Vec<u8> = (0..1_000_000u32)
+        .map(|i| (i.wrapping_mul(2654435761)) as u8)
+        .collect();
     let v = client.set(b"big", &value, None).await.unwrap();
     let (got, version) = client.get(b"big").await.unwrap().unwrap();
     assert_eq!(got, value);

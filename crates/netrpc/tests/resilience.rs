@@ -115,7 +115,10 @@ async fn circuit_breaker_opens_fails_fast_and_recovers() {
     cfg.open_for = Duration::from_millis(150);
     let mut client = ResilientClient::new(addr, cfg);
 
-    assert!(client.get(b"k").await.is_err(), "first failure trips breaker");
+    assert!(
+        client.get(b"k").await.is_err(),
+        "first failure trips breaker"
+    );
     assert_eq!(client.stats().breaker_opens, 1);
     assert!(client.circuit_open());
 
@@ -129,7 +132,10 @@ async fn circuit_breaker_opens_fails_fast_and_recovers() {
     let server = CacheServer::bind(&addr.to_string(), 4 << 20).await.unwrap();
     let handle = server.spawn();
     tokio::time::sleep(Duration::from_millis(200)).await;
-    client.ping().await.expect("half-open probe must close breaker");
+    client
+        .ping()
+        .await
+        .expect("half-open probe must close breaker");
     assert!(!client.circuit_open());
     client.set(b"k", b"v", None).await.unwrap();
     assert!(client.get(b"k").await.unwrap().is_some());

@@ -117,7 +117,11 @@ impl CpuMeter {
 
     /// Total busy time across all categories.
     pub fn total(&self) -> SimDuration {
-        SimDuration::from_nanos(self.busy_nanos.iter().fold(0u64, |a, &b| a.saturating_add(b)))
+        SimDuration::from_nanos(
+            self.busy_nanos
+                .iter()
+                .fold(0u64, |a, &b| a.saturating_add(b)),
+        )
     }
 
     /// Busy time in one category.
@@ -229,7 +233,10 @@ mod tests {
         b.charge(CpuCategory::KvExec, SimDuration::from_micros(7));
         b.charge(CpuCategory::Replication, SimDuration::from_micros(3));
         a.merge(&b);
-        assert_eq!(a.category(CpuCategory::KvExec), SimDuration::from_micros(12));
+        assert_eq!(
+            a.category(CpuCategory::KvExec),
+            SimDuration::from_micros(12)
+        );
         assert_eq!(
             a.category(CpuCategory::Replication),
             SimDuration::from_micros(3)

@@ -58,9 +58,7 @@ impl FaultEvent {
             FaultKind::PartitionHeal { a, b } => net.faults.heal(a, b),
             FaultKind::LatencySpikeStart { extra } => net.faults.extra_delay = extra,
             FaultKind::LatencySpikeEnd => net.faults.extra_delay = SimDuration::ZERO,
-            FaultKind::DropWindowStart { prob } => {
-                net.faults.drop_prob = prob.clamp(0.0, 1.0)
-            }
+            FaultKind::DropWindowStart { prob } => net.faults.drop_prob = prob.clamp(0.0, 1.0),
             FaultKind::DropWindowEnd => net.faults.drop_prob = 0.0,
         }
     }
@@ -301,8 +299,14 @@ mod tests {
         ));
 
         d.apply_due(&mut net, t(10));
-        assert_eq!(net.send(&mut rng, NodeId(0), NodeId(1), 8), Delivery::Dropped);
-        assert_eq!(net.send(&mut rng, NodeId(1), NodeId(0), 8), Delivery::Dropped);
+        assert_eq!(
+            net.send(&mut rng, NodeId(0), NodeId(1), 8),
+            Delivery::Dropped
+        );
+        assert_eq!(
+            net.send(&mut rng, NodeId(1), NodeId(0), 8),
+            Delivery::Dropped
+        );
 
         d.apply_due(&mut net, t(20));
         assert!(matches!(

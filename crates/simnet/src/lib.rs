@@ -49,6 +49,6 @@ pub use engine::{EventId, Sim};
 pub use fault::{FaultDriver, FaultEvent, FaultKind, FaultSchedule};
 pub use metrics::{Counter, Histogram, MetricSet};
 pub use net::{Delivery, FaultPlan, LinkClass, Network};
-pub use queueing::{cores_for_wait_target, erlang_c, mmc_wait_time};
 pub use node::{Node, NodeId, NodeKind, NodeRegistry};
+pub use queueing::{cores_for_wait_target, erlang_c, mmc_wait_time};
 pub use time::{SimDuration, SimTime};

@@ -194,18 +194,16 @@ impl Network {
     }
 
     pub fn is_node_up(&self, node: NodeId) -> bool {
-        !self.node_down.get(node.0 as usize).copied().unwrap_or(false)
+        !self
+            .node_down
+            .get(node.0 as usize)
+            .copied()
+            .unwrap_or(false)
     }
 
     /// Decide the fate of one message of `bytes` from `from` to `to`,
     /// consuming randomness from `rng`. Updates delivery counters.
-    pub fn send(
-        &mut self,
-        rng: &mut impl Rng,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-    ) -> Delivery {
+    pub fn send(&mut self, rng: &mut impl Rng, from: NodeId, to: NodeId, bytes: u64) -> Delivery {
         if !self.is_node_up(from) || !self.is_node_up(to) {
             self.dropped += 1;
             return Delivery::Dropped;
@@ -289,8 +287,10 @@ mod tests {
         net.place_in_zone(NodeId(2), 1);
         assert_eq!(net.classify(NodeId(0), NodeId(1)), LinkClass::SameZone);
         assert_eq!(net.classify(NodeId(0), NodeId(2)), LinkClass::CrossZone);
-        assert!(net.one_way_latency(NodeId(0), NodeId(2), 0)
-            > net.one_way_latency(NodeId(0), NodeId(1), 0));
+        assert!(
+            net.one_way_latency(NodeId(0), NodeId(2), 0)
+                > net.one_way_latency(NodeId(0), NodeId(1), 0)
+        );
     }
 
     #[test]
@@ -311,7 +311,10 @@ mod tests {
         let mut net = Network::new();
         net.faults.drop_prob = 1.0;
         for _ in 0..10 {
-            assert_eq!(net.send(&mut rng(), NodeId(0), NodeId(1), 1), Delivery::Dropped);
+            assert_eq!(
+                net.send(&mut rng(), NodeId(0), NodeId(1), 1),
+                Delivery::Dropped
+            );
         }
     }
 

@@ -113,7 +113,10 @@ mod tests {
             let servers = cores_for_wait_target(load, 0.1);
             assert!(mmc_wait_time(servers, load) <= 0.1);
             if servers > load.ceil() as u32 {
-                assert!(mmc_wait_time(servers - 1, load) > 0.1, "not minimal at {load}");
+                assert!(
+                    mmc_wait_time(servers - 1, load) > 0.1,
+                    "not minimal at {load}"
+                );
             }
         }
     }

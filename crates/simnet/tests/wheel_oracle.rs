@@ -107,11 +107,11 @@ fn differential_run(seed: u64, ops: usize) {
     ];
 
     let schedule = |sim: &mut Sim<Vec<(u64, u64)>>,
-                        oracle: &mut Oracle,
-                        handles: &mut HashMap<u64, (u64, simnet::EventId)>,
-                        live_tags: &mut Vec<u64>,
-                        next_tag: &mut u64,
-                        rng: &mut u64| {
+                    oracle: &mut Oracle,
+                    handles: &mut HashMap<u64, (u64, simnet::EventId)>,
+                    live_tags: &mut Vec<u64>,
+                    next_tag: &mut u64,
+                    rng: &mut u64| {
         let delay = DELAYS[(splitmix64(rng) % DELAYS.len() as u64) as usize];
         let at = oracle.clock.saturating_add(delay);
         let tag = *next_tag;

@@ -13,8 +13,8 @@
 //! residency — the property the cost model depends on — is preserved, and
 //! hashing avoids pathological co-location of hot synthetic keys.
 
-use cachekit::{Cache, PolicyKind};
 use cachekit::ring::stable_hash;
+use cachekit::{Cache, PolicyKind};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of one logical block.

@@ -193,7 +193,9 @@ impl SqlCluster {
             .collect();
         SqlCluster {
             catalog,
-            frontends: (0..config.frontends).map(|_| FrontendPod::default()).collect(),
+            frontends: (0..config.frontends)
+                .map(|_| FrontendPod::default())
+                .collect(),
             storages,
             regions,
             durable,
@@ -311,7 +313,9 @@ impl SqlCluster {
         };
         let outcome = self.durable[pod].crash_and_recover(image, &self.config.cost);
         self.storages[pod].kv = outcome.kv;
-        self.storages[pod].cpu.charge(CpuCategory::KvExec, outcome.replay_cpu);
+        self.storages[pod]
+            .cpu
+            .charge(CpuCategory::KvExec, outcome.replay_cpu);
         for (r, region) in self.regions.iter_mut().enumerate() {
             if let Some(slot) = region.replicas.iter().position(|&p| p == pod) {
                 region.restart_recovered(slot, outcome.durable_applied[r]);
@@ -504,7 +508,9 @@ impl SqlCluster {
         } else {
             self.config.cost.parse_plan_cost(sql_bytes)
         };
-        self.frontends[fe].cpu.charge(CpuCategory::SqlFrontend, cost);
+        self.frontends[fe]
+            .cpu
+            .charge(CpuCategory::SqlFrontend, cost);
         QueryReceipt {
             frontend_cpu: cost,
             latency: cost,
@@ -539,7 +545,9 @@ impl SqlCluster {
         // Transaction layer: consistent reads validate the leader lease.
         if physical.is_read() {
             let lease_cost = SimDuration::from_micros_f64(self.config.cost.txn_lease_check_us);
-            self.frontends[fe].cpu.charge(CpuCategory::TxnLease, lease_cost);
+            self.frontends[fe]
+                .cpu
+                .charge(CpuCategory::TxnLease, lease_cost);
             receipt.frontend_cpu += lease_cost;
             receipt.latency += lease_cost;
         }
@@ -565,7 +573,9 @@ impl SqlCluster {
         let post = SimDuration::from_micros_f64(
             self.config.cost.frontend_per_row_us * receipt.rows.len() as f64,
         );
-        self.frontends[fe].cpu.charge(CpuCategory::SqlFrontend, post);
+        self.frontends[fe]
+            .cpu
+            .charge(CpuCategory::SqlFrontend, post);
         receipt.frontend_cpu += post;
         receipt.latency += post;
         receipt.response_bytes = receipt.rows.iter().map(|r| r.encoded_size()).sum();
@@ -611,11 +621,16 @@ impl SqlCluster {
         for (region_idx, sub) in per_region {
             let leader = self.regions[region_idx].leader()?;
             // RPC front-end → leader carrying the batch.
-            let bytes = 64 + sub.logical_bytes.max(batch.logical_bytes / batch.mutations.len().max(1) as u64);
+            let bytes = 64
+                + sub
+                    .logical_bytes
+                    .max(batch.logical_bytes / batch.mutations.len().max(1) as u64);
             self.charge_rpc(leader, bytes, 16, receipt, now);
 
             let leader_cost = self.config.cost.raft_leader_cost(bytes);
-            self.storages[leader].cpu.charge(CpuCategory::Replication, leader_cost);
+            self.storages[leader]
+                .cpu
+                .charge(CpuCategory::Replication, leader_cost);
             receipt.storage_cpu += leader_cost;
 
             let ops = self.regions[region_idx].propose(sub, version, now)?;
@@ -635,8 +650,13 @@ impl SqlCluster {
                 storage.cpu.charge(CpuCategory::KvExec, kv_cost);
                 storage.cpu.charge(CpuCategory::Replication, repl_cost);
                 receipt.storage_cpu += kv_cost + repl_cost;
-                receipt.storage_cpu +=
-                    durable_apply(&self.config, storage, &mut self.durable[pod], region_idx, entry);
+                receipt.storage_cpu += durable_apply(
+                    &self.config,
+                    storage,
+                    &mut self.durable[pod],
+                    region_idx,
+                    entry,
+                );
                 max_follower = max_follower.max(repl_cost);
             }
             // Quorum round trip: leader → follower → ack.
@@ -659,8 +679,12 @@ impl SqlCluster {
         let fe_cost =
             self.config.cost.rpc_side_cost(req_bytes) + self.config.cost.rpc_side_cost(resp_bytes);
         let pod_cost = fe_cost;
-        self.frontends[fe].cpu.charge(CpuCategory::RpcStack, fe_cost);
-        self.storages[pod].cpu.charge(CpuCategory::RpcStack, pod_cost);
+        self.frontends[fe]
+            .cpu
+            .charge(CpuCategory::RpcStack, fe_cost);
+        self.storages[pod]
+            .cpu
+            .charge(CpuCategory::RpcStack, pod_cost);
         receipt.frontend_cpu += fe_cost;
         receipt.storage_cpu += pod_cost;
         receipt.storage_rpcs += 1;
@@ -759,7 +783,11 @@ impl SqlCluster {
     /// Mean block-cache hit ratio over pods (0 when unused).
     pub fn block_cache_hit_ratio(&self) -> f64 {
         let n = self.storages.len().max(1) as f64;
-        self.storages.iter().map(|s| s.block_cache.hit_ratio()).sum::<f64>() / n
+        self.storages
+            .iter()
+            .map(|s| s.block_cache.hit_ratio())
+            .sum::<f64>()
+            / n
     }
 
     /// Summed raw block-cache `(hits, misses)` across pods — the mergeable
@@ -829,7 +857,9 @@ impl ClusterRowStore<'_> {
     /// Charge a storage-side row read (block cache + KV) on `pod`, for the
     /// row whose key has [`stable_hash`] `key_hash`.
     fn charge_row_read(&mut self, pod: usize, key_hash: u64, bytes: u64, rows_scanned: u64) {
-        let (hits, misses) = self.storages[pod].block_cache.access_hashed(key_hash, bytes.max(1));
+        let (hits, misses) = self.storages[pod]
+            .block_cache
+            .access_hashed(key_hash, bytes.max(1));
         self.receipt.block_hits += hits;
         self.receipt.block_misses += misses;
         let kv = self.cost.kv_read_cost(bytes, rows_scanned);
@@ -846,15 +876,16 @@ impl ClusterRowStore<'_> {
     fn charge_fetch_rpc(&mut self, pod: usize, resp_bytes: u64) {
         let req = 48u64; // encoded key + header
         let fe_cost = self.cost.rpc_side_cost(req) + self.cost.rpc_side_cost(resp_bytes);
-        self.storages[pod].cpu.charge(CpuCategory::RpcStack, fe_cost);
+        self.storages[pod]
+            .cpu
+            .charge(CpuCategory::RpcStack, fe_cost);
         self.receipt.storage_cpu += fe_cost;
         // Front-end side is charged by the cluster wrapper on the same
         // receipt (the receipt's frontend_cpu), via this addition:
         self.receipt.frontend_cpu += fe_cost;
         self.receipt.storage_rpcs += 1;
-        self.receipt.latency += self.link.delivery_time(req)
-            + self.link.delivery_time(resp_bytes)
-            + fe_cost * 2;
+        self.receipt.latency +=
+            self.link.delivery_time(req) + self.link.delivery_time(resp_bytes) + fe_cost * 2;
     }
 
     /// The leader pod of the region holding the key with `key_hash`.
@@ -958,7 +989,12 @@ impl RowStore for ClusterRowStore<'_> {
             .map(|(_, v)| v.value.to_vec())
             .collect();
         // Index scan: one block access over the index range, rows = entries.
-        self.charge_row_read(pod, hash, 32 * record_keys.len() as u64, record_keys.len().max(1) as u64);
+        self.charge_row_read(
+            pod,
+            hash,
+            32 * record_keys.len() as u64,
+            record_keys.len().max(1) as u64,
+        );
         self.charge_fetch_rpc(pod, 40 * record_keys.len() as u64);
         self.fetch_rows_by_record_keys(record_keys)
     }
@@ -984,7 +1020,12 @@ impl RowStore for ClusterRowStore<'_> {
                 .filter(|(k, _)| self.region_of(stable_hash(k)) == region_idx)
                 .map(|(_, v)| v.value.to_vec())
                 .collect();
-            self.charge_row_read(pod, start_hash, 32 * hits.len() as u64, hits.len().max(1) as u64);
+            self.charge_row_read(
+                pod,
+                start_hash,
+                32 * hits.len() as u64,
+                hits.len().max(1) as u64,
+            );
             self.charge_fetch_rpc(pod, 40 * hits.len() as u64);
             record_keys.extend(hits);
         }
@@ -1053,7 +1094,9 @@ mod tests {
             )
             .unwrap();
         assert!(w.write_version.is_some());
-        let r = c.execute("SELECT v FROM kv WHERE k = ?", &[1.into()], t(1)).unwrap();
+        let r = c
+            .execute("SELECT v FROM kv WHERE k = ?", &[1.into()], t(1))
+            .unwrap();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0].get(0), Some(&Datum::Bytes(vec![7; 100])));
         assert!(r.frontend_cpu > SimDuration::ZERO);
@@ -1082,10 +1125,18 @@ mod tests {
     fn versions_advance_with_updates() {
         let mut c = cluster();
         let w1 = c
-            .execute("INSERT INTO kv VALUES (?, ?)", &[1.into(), Datum::Bytes(vec![1])], t(0))
+            .execute(
+                "INSERT INTO kv VALUES (?, ?)",
+                &[1.into(), Datum::Bytes(vec![1])],
+                t(0),
+            )
             .unwrap();
         let w2 = c
-            .execute("UPDATE kv SET v = ? WHERE k = ?", &[Datum::Bytes(vec![2]).clone(), 1.into()], t(1))
+            .execute(
+                "UPDATE kv SET v = ? WHERE k = ?",
+                &[Datum::Bytes(vec![2]).clone(), 1.into()],
+                t(1),
+            )
             .unwrap();
         assert!(w2.write_version.unwrap() > w1.write_version.unwrap());
         let (ver, _) = c.version_check("kv", &Datum::Int(1), t(2)).unwrap();
@@ -1095,7 +1146,10 @@ mod tests {
     #[test]
     fn version_check_pays_full_read_path() {
         let mut c = cluster();
-        let big = Datum::Payload { len: 100_000, seed: 1 };
+        let big = Datum::Payload {
+            len: 100_000,
+            seed: 1,
+        };
         c.execute("INSERT INTO kv VALUES (?, ?)", &[1.into(), big], t(0))
             .unwrap();
         let (_, receipt) = c.version_check("kv", &Datum::Int(1), t(1)).unwrap();
@@ -1120,29 +1174,49 @@ mod tests {
             ..ClusterConfig::default()
         };
         let mut c = SqlCluster::new(catalog(), cfg);
-        c.execute("INSERT INTO kv VALUES (1, ?)", &[Datum::Bytes(vec![0; 100])], t(0))
-            .unwrap();
-        c.execute("INSERT INTO kv VALUES (2, ?)", &[Datum::Bytes(vec![0; 100])], t(0))
-            .unwrap();
+        c.execute(
+            "INSERT INTO kv VALUES (1, ?)",
+            &[Datum::Bytes(vec![0; 100])],
+            t(0),
+        )
+        .unwrap();
+        c.execute(
+            "INSERT INTO kv VALUES (2, ?)",
+            &[Datum::Bytes(vec![0; 100])],
+            t(0),
+        )
+        .unwrap();
         // k=1's block was just warmed by the insert's dup-check, but k=2's
         // insert displaced it (single block slot, and the two keys hash to
         // different blocks with overwhelming probability).
-        let r1 = c.execute("SELECT v FROM kv WHERE k = 1", &[], t(1)).unwrap();
+        let r1 = c
+            .execute("SELECT v FROM kv WHERE k = 1", &[], t(1))
+            .unwrap();
         assert!(r1.block_misses > 0, "evicted block must miss");
-        let r1b = c.execute("SELECT v FROM kv WHERE k = 1", &[], t(2)).unwrap();
+        let r1b = c
+            .execute("SELECT v FROM kv WHERE k = 1", &[], t(2))
+            .unwrap();
         assert_eq!(r1b.block_misses, 0, "immediately-warm read hits");
         assert!(r1b.block_hits > 0);
-        assert!(r1b.latency < r1.latency, "disk latency disappears when warm");
+        assert!(
+            r1b.latency < r1.latency,
+            "disk latency disappears when warm"
+        );
         // Touching k=2 evicts k=1 again.
-        c.execute("SELECT v FROM kv WHERE k = 2", &[], t(3)).unwrap();
-        let r1c = c.execute("SELECT v FROM kv WHERE k = 1", &[], t(4)).unwrap();
+        c.execute("SELECT v FROM kv WHERE k = 2", &[], t(3))
+            .unwrap();
+        let r1c = c
+            .execute("SELECT v FROM kv WHERE k = 1", &[], t(4))
+            .unwrap();
         assert!(r1c.block_misses > 0);
     }
 
     #[test]
     fn negative_lookup_still_charges() {
         let mut c = cluster();
-        let r = c.execute("SELECT v FROM kv WHERE k = 404", &[], t(0)).unwrap();
+        let r = c
+            .execute("SELECT v FROM kv WHERE k = 404", &[], t(0))
+            .unwrap();
         assert!(r.rows.is_empty());
         assert!(r.storage_cpu > SimDuration::ZERO);
     }
@@ -1150,10 +1224,16 @@ mod tests {
     #[test]
     fn prepared_execution_skips_parse_cost() {
         let mut c = cluster();
-        c.execute("INSERT INTO kv VALUES (1, ?)", &[Datum::Bytes(vec![1])], t(0))
-            .unwrap();
+        c.execute(
+            "INSERT INTO kv VALUES (1, ?)",
+            &[Datum::Bytes(vec![1])],
+            t(0),
+        )
+        .unwrap();
         let plan = c.prepare("SELECT v FROM kv WHERE k = ?").unwrap();
-        let full = c.execute("SELECT v FROM kv WHERE k = ?", &[1.into()], t(1)).unwrap();
+        let full = c
+            .execute("SELECT v FROM kv WHERE k = ?", &[1.into()], t(1))
+            .unwrap();
         let prep = c.execute_prepared(&plan, &[1.into()], t(2)).unwrap();
         assert!(prep.frontend_cpu < full.frontend_cpu);
         assert_eq!(prep.rows, full.rows);
@@ -1162,8 +1242,12 @@ mod tests {
     #[test]
     fn delayed_write_is_invisible_until_commit() {
         let mut c = cluster();
-        c.execute("INSERT INTO kv VALUES (1, ?)", &[Datum::Bytes(vec![1])], t(0))
-            .unwrap();
+        c.execute(
+            "INSERT INTO kv VALUES (1, ?)",
+            &[Datum::Bytes(vec![1])],
+            t(0),
+        )
+        .unwrap();
         let dw = c
             .begin_delayed_write(
                 "UPDATE kv SET v = ? WHERE k = 1",
@@ -1171,28 +1255,40 @@ mod tests {
                 t(1),
             )
             .unwrap();
-        let before = c.execute("SELECT v FROM kv WHERE k = 1", &[], t(2)).unwrap();
+        let before = c
+            .execute("SELECT v FROM kv WHERE k = 1", &[], t(2))
+            .unwrap();
         assert_eq!(before.rows[0].get(0), Some(&Datum::Bytes(vec![1])));
         let receipt = c.commit_delayed(dw, t(3)).unwrap();
         assert!(receipt.write_version.is_some());
-        let after = c.execute("SELECT v FROM kv WHERE k = 1", &[], t(4)).unwrap();
+        let after = c
+            .execute("SELECT v FROM kv WHERE k = 1", &[], t(4))
+            .unwrap();
         assert_eq!(after.rows[0].get(0), Some(&Datum::Bytes(vec![9])));
     }
 
     #[test]
     fn leader_crash_fails_reads_until_election() {
         let mut c = cluster();
-        c.execute("INSERT INTO kv VALUES (1, ?)", &[Datum::Bytes(vec![1])], t(0))
-            .unwrap();
+        c.execute(
+            "INSERT INTO kv VALUES (1, ?)",
+            &[Datum::Bytes(vec![1])],
+            t(0),
+        )
+        .unwrap();
         let key = record_key("kv", &Datum::Int(1));
         let region = c.region_of(&key);
         // Crash the leader replica of that region.
         let leader_slot = c.regions[region].leader_slot().unwrap();
         c.region_mut(region).crash(leader_slot);
-        let err = c.execute("SELECT v FROM kv WHERE k = 1", &[], t(1)).unwrap_err();
+        let err = c
+            .execute("SELECT v FROM kv WHERE k = 1", &[], t(1))
+            .unwrap_err();
         assert!(matches!(err, StoreError::NoLeader { .. }));
         c.region_mut(region).elect(t(2)).unwrap();
-        let r = c.execute("SELECT v FROM kv WHERE k = 1", &[], t(3)).unwrap();
+        let r = c
+            .execute("SELECT v FROM kv WHERE k = 1", &[], t(3))
+            .unwrap();
         assert_eq!(r.rows.len(), 1, "data survives leader failover");
     }
 
@@ -1206,14 +1302,24 @@ mod tests {
             )
             .unwrap();
         assert_eq!(n, 50);
-        assert_eq!(c.storage_cpu_total().total(), SimDuration::ZERO, "no CPU charged");
+        assert_eq!(
+            c.storage_cpu_total().total(),
+            SimDuration::ZERO,
+            "no CPU charged"
+        );
         for i in 0..50i64 {
-            let r = c.execute("SELECT v FROM kv WHERE k = ?", &[i.into()], t(1)).unwrap();
+            let r = c
+                .execute("SELECT v FROM kv WHERE k = ?", &[i.into()], t(1))
+                .unwrap();
             assert_eq!(r.rows[0].get(0), Some(&Datum::Bytes(vec![i as u8])));
         }
         // Subsequent SQL writes see later versions than bulk-loaded rows.
         let w = c
-            .execute("UPDATE kv SET v = ? WHERE k = 0", &[Datum::Bytes(vec![99])], t(2))
+            .execute(
+                "UPDATE kv SET v = ? WHERE k = 0",
+                &[Datum::Bytes(vec![99])],
+                t(2),
+            )
             .unwrap();
         let (ver, _) = c.version_check("kv", &Datum::Int(0), t(3)).unwrap();
         assert_eq!(ver, w.write_version);
@@ -1236,7 +1342,11 @@ mod tests {
         )
         .unwrap();
         let r = c
-            .execute("SELECT COUNT(*) FROM kv WHERE k >= 50 AND k < 150", &[], t(1))
+            .execute(
+                "SELECT COUNT(*) FROM kv WHERE k >= 50 AND k < 150",
+                &[],
+                t(1),
+            )
             .unwrap();
         assert_eq!(r.rows[0].get(0), Some(&Datum::Int(100)));
         assert!(r.stats.used_index, "pk range scan, not full scan");
@@ -1256,8 +1366,12 @@ mod tests {
             .unwrap();
         }
         for i in 0..20i64 {
-            c.execute("SELECT v FROM kv WHERE k = ?", &[i.into()], t(100 + i as u64))
-                .unwrap();
+            c.execute(
+                "SELECT v FROM kv WHERE k = ?",
+                &[i.into()],
+                t(100 + i as u64),
+            )
+            .unwrap();
         }
         let fe = c.frontend_cpu_total();
         let st = c.storage_cpu_total();
@@ -1342,8 +1456,14 @@ mod tests {
         assert!(s.cold_refill_cpu_us > 0, "block cache residency was lost");
         // Every acked write survives the crash.
         for i in 0..30i64 {
-            let r = c.execute("SELECT v FROM kv WHERE k = ?", &[i.into()], t(200)).unwrap();
-            assert_eq!(r.rows[0].get(0), Some(&Datum::Bytes(vec![i as u8; 32])), "key {i}");
+            let r = c
+                .execute("SELECT v FROM kv WHERE k = ?", &[i.into()], t(200))
+                .unwrap();
+            assert_eq!(
+                r.rows[0].get(0),
+                Some(&Datum::Bytes(vec![i as u8; 32])),
+                "key {i}"
+            );
         }
         // And the recovered pod itself holds them again (not just the quorum).
         let key = record_key("kv", &Datum::Int(29));
@@ -1360,7 +1480,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.durability_stats().snapshots, 3, "one per pod");
-        assert_eq!(c.storage_cpu_total().total(), SimDuration::ZERO, "load stays free");
+        assert_eq!(
+            c.storage_cpu_total().total(),
+            SimDuration::ZERO,
+            "load stays free"
+        );
         // Crash+recover straight off the snapshot: no quorum help needed.
         c.crash_pod(1);
         c.recover_pod(1, t(1));
@@ -1379,8 +1503,12 @@ mod tests {
             )
             .unwrap();
             for i in 50..60i64 {
-                c.execute("INSERT INTO kv VALUES (?, ?)", &[i.into(), Datum::Bytes(vec![1])], t(1))
-                    .unwrap();
+                c.execute(
+                    "INSERT INTO kv VALUES (?, ?)",
+                    &[i.into(), Datum::Bytes(vec![1])],
+                    t(1),
+                )
+                .unwrap();
             }
             for _ in 0..crashes {
                 c.crash_pod(0);
@@ -1400,11 +1528,17 @@ mod tests {
     #[test]
     fn reset_metrics_clears_cpu_but_not_data() {
         let mut c = cluster();
-        c.execute("INSERT INTO kv VALUES (1, ?)", &[Datum::Bytes(vec![1])], t(0))
-            .unwrap();
+        c.execute(
+            "INSERT INTO kv VALUES (1, ?)",
+            &[Datum::Bytes(vec![1])],
+            t(0),
+        )
+        .unwrap();
         c.reset_metrics();
         assert_eq!(c.storage_cpu_total().total(), SimDuration::ZERO);
-        let r = c.execute("SELECT v FROM kv WHERE k = 1", &[], t(1)).unwrap();
+        let r = c
+            .execute("SELECT v FROM kv WHERE k = 1", &[], t(1))
+            .unwrap();
         assert_eq!(r.rows.len(), 1);
     }
 }

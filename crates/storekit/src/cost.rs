@@ -244,8 +244,8 @@ mod tests {
         // reads. For a 60-byte statement reading a 1 KB row:
         let c = StorageCostConfig::default();
         let frontend = c.parse_plan_cost(60).as_micros_f64() + c.txn_lease_check_us;
-        let storage = c.kv_read_cost(1024, 1).as_micros_f64()
-            + c.rpc_side_cost(1024).as_micros_f64() * 2.0;
+        let storage =
+            c.kv_read_cost(1024, 1).as_micros_f64() + c.rpc_side_cost(1024).as_micros_f64() * 2.0;
         let frac = frontend / (frontend + storage);
         assert!(
             (0.40..=0.85).contains(&frac),

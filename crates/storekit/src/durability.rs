@@ -262,7 +262,11 @@ impl DurableStore {
     }
 
     /// Take a snapshot when the cadence is due. Returns the CPU to charge.
-    pub fn maybe_snapshot(&mut self, kv: &KvEngine, cost: &StorageCostConfig) -> Option<SimDuration> {
+    pub fn maybe_snapshot(
+        &mut self,
+        kv: &KvEngine,
+        cost: &StorageCostConfig,
+    ) -> Option<SimDuration> {
         if self.appends_since_snapshot < self.cfg.snapshot_every_entries {
             return None;
         }

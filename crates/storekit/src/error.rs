@@ -12,7 +12,10 @@ pub enum StoreError {
     /// Reference to an unknown column.
     UnknownColumn { table: String, column: String },
     /// Value incompatible with the column type.
-    TypeMismatch { column: String, expected: &'static str },
+    TypeMismatch {
+        column: String,
+        expected: &'static str,
+    },
     /// INSERT arity doesn't match the schema.
     ArityMismatch { expected: usize, got: usize },
     /// Duplicate primary key on INSERT.

@@ -511,7 +511,11 @@ pub fn record_prefix(table: &str) -> Key {
 
 /// Conservative byte bounds for record keys whose primary key lies in
 /// `[lo, hi]`; same contract as [`index_range_bounds`].
-pub fn record_range_bounds(table: &str, lo: Option<&Datum>, hi: Option<&Datum>) -> (Key, Option<Key>) {
+pub fn record_range_bounds(
+    table: &str,
+    lo: Option<&Datum>,
+    hi: Option<&Datum>,
+) -> (Key, Option<Key>) {
     let prefix = record_prefix(table);
     let start = match lo {
         Some(d) => {
@@ -673,7 +677,10 @@ mod tests {
         let v1 = kv.put(key("p/a"), b"old".to_vec());
         kv.put(key("p/a"), b"new".to_vec());
         kv.put(key("p/b"), b"later".to_vec());
-        let at_v1: Vec<_> = kv.scan_prefix(b"p/", v1).map(|(_, v)| v.value.to_vec()).collect();
+        let at_v1: Vec<_> = kv
+            .scan_prefix(b"p/", v1)
+            .map(|(_, v)| v.value.to_vec())
+            .collect();
         assert_eq!(at_v1, vec![b"old".to_vec()]);
     }
 
@@ -851,7 +858,10 @@ mod tests {
         assert_eq!(selected, (5..=12).collect::<Vec<_>>());
         // Unbounded sides cover everything on that side.
         let (start, _) = index_range_bounds("t", 1, None, Some(&Datum::Int(3)));
-        assert!(keys.iter().take(4).all(|k| k.as_slice() >= start.as_slice()));
+        assert!(keys
+            .iter()
+            .take(4)
+            .all(|k| k.as_slice() >= start.as_slice()));
         let (_, end) = index_range_bounds("t", 1, Some(&Datum::Int(17)), None);
         let end = end.unwrap();
         assert!(keys.iter().skip(17).all(|k| k.as_slice() < end.as_slice()));

@@ -137,7 +137,9 @@ impl RaftGroup {
         version: u64,
         now: SimTime,
     ) -> StoreResult<Vec<ApplyOp>> {
-        let leader = self.leader_slot.ok_or(StoreError::NoLeader { region: self.id })?;
+        let leader = self
+            .leader_slot
+            .ok_or(StoreError::NoLeader { region: self.id })?;
         if self.alive_count() < self.quorum() {
             return Err(StoreError::NoLeader { region: self.id });
         }
@@ -262,7 +264,12 @@ mod tests {
     }
 
     fn group() -> RaftGroup {
-        RaftGroup::new(1, vec![10, 11, 12], SimTime::ZERO, SimDuration::from_secs(10))
+        RaftGroup::new(
+            1,
+            vec![10, 11, 12],
+            SimTime::ZERO,
+            SimDuration::from_secs(10),
+        )
     }
 
     #[test]
@@ -381,7 +388,11 @@ mod tests {
         // old restart (full in-memory log intact) no op was emitted and the
         // replica's state machine silently diverged.
         let ops = g.tick(SimTime::ZERO);
-        let slot2: Vec<usize> = ops.iter().filter(|o| o.slot == 2).map(|o| o.index).collect();
+        let slot2: Vec<usize> = ops
+            .iter()
+            .filter(|o| o.slot == 2)
+            .map(|o| o.index)
+            .collect();
         assert_eq!(slot2, vec![1], "lost entry is re-applied, not resurrected");
     }
 
@@ -395,7 +406,11 @@ mod tests {
         // must still be clamped to what it had acknowledged (1).
         g.restart_recovered(1, 99);
         let ops = g.tick(SimTime::ZERO);
-        let slot1: Vec<usize> = ops.iter().filter(|o| o.slot == 1).map(|o| o.index).collect();
+        let slot1: Vec<usize> = ops
+            .iter()
+            .filter(|o| o.slot == 1)
+            .map(|o| o.index)
+            .collect();
         assert_eq!(slot1, vec![1], "replica catches up from its real prefix");
     }
 

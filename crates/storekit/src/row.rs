@@ -246,7 +246,10 @@ mod tests {
     fn payload_round_trips_compactly() {
         let row = Row(vec![
             Datum::Int(1),
-            Datum::Payload { len: 1 << 20, seed: 42 },
+            Datum::Payload {
+                len: 1 << 20,
+                seed: 42,
+            },
         ]);
         let bytes = row.encode();
         // Physical: 2 + (1+8) + (1+16) = 28 bytes, despite a 1 MiB logical size.

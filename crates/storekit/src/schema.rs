@@ -225,13 +225,8 @@ mod tests {
 
     #[test]
     fn unknown_pk_column_is_an_error() {
-        let err = TableSchema::new(
-            "t",
-            vec![ColumnDef::new("a", ColumnType::Int)],
-            "nope",
-            &[],
-        )
-        .unwrap_err();
+        let err = TableSchema::new("t", vec![ColumnDef::new("a", ColumnType::Int)], "nope", &[])
+            .unwrap_err();
         assert!(matches!(err, StoreError::UnknownColumn { .. }));
     }
 

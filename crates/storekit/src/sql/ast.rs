@@ -173,10 +173,7 @@ mod tests {
     #[test]
     fn literal_resolution() {
         let params = vec![Datum::Int(7)];
-        assert_eq!(
-            Literal::Param(0).resolve(&params),
-            Some(&Datum::Int(7))
-        );
+        assert_eq!(Literal::Param(0).resolve(&params), Some(&Datum::Int(7)));
         assert_eq!(Literal::Param(1).resolve(&params), None);
         assert_eq!(
             Literal::Datum(Datum::Bool(true)).resolve(&[]),

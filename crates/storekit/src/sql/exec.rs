@@ -179,9 +179,11 @@ pub fn execute(
 ) -> StoreResult<ExecOutcome> {
     match plan {
         PhysicalPlan::Select(s) => execute_select(catalog, s, params, store),
-        PhysicalPlan::Insert { table, values, replace } => {
-            execute_insert(catalog, table, values, *replace, params, store)
-        }
+        PhysicalPlan::Insert {
+            table,
+            values,
+            replace,
+        } => execute_insert(catalog, table, values, *replace, params, store),
         PhysicalPlan::Update {
             table,
             access,
@@ -328,15 +330,16 @@ fn execute_select(
                             .full_scan(&j.table)?
                             .into_iter()
                             .filter(|(r, _)| {
-                                r.get(j.right_col)
-                                    .map(|v| v.sql_eq(&key))
-                                    .unwrap_or(false)
+                                r.get(j.right_col).map(|v| v.sql_eq(&key)).unwrap_or(false)
                             })
                             .collect()
                     }
                 };
                 stats.rows_visited += right_rows.len() as u64;
-                stats.bytes_read += right_rows.iter().map(|(r, _)| r.encoded_size()).sum::<u64>();
+                stats.bytes_read += right_rows
+                    .iter()
+                    .map(|(r, _)| r.encoded_size())
+                    .sum::<u64>();
                 for (rrow, _rver) in right_rows {
                     if !matches_all(&rrow, &j.residual, params)? {
                         continue;
@@ -779,10 +782,7 @@ mod tests {
                 &[],
             )
             .unwrap();
-        assert_eq!(
-            out.rows,
-            vec![Row(vec!["ada".into(), "eng".into()])]
-        );
+        assert_eq!(out.rows, vec![Row(vec!["ada".into(), "eng".into()])]);
     }
 
     #[test]
@@ -801,7 +801,9 @@ mod tests {
     #[test]
     fn count_star_counts_matches() {
         let mut s = store();
-        let out = s.run("SELECT COUNT(*) FROM users WHERE org = 10", &[]).unwrap();
+        let out = s
+            .run("SELECT COUNT(*) FROM users WHERE org = 10", &[])
+            .unwrap();
         assert_eq!(out.rows, vec![Row(vec![Datum::Int(2)])]);
     }
 
@@ -839,9 +841,14 @@ mod tests {
     #[test]
     fn update_rewrites_index_entries() {
         let mut s = store();
-        s.run("UPDATE users SET org = 20 WHERE id = 1", &[]).unwrap();
-        let ten = s.run("SELECT COUNT(*) FROM users WHERE org = 10", &[]).unwrap();
-        let twenty = s.run("SELECT COUNT(*) FROM users WHERE org = 20", &[]).unwrap();
+        s.run("UPDATE users SET org = 20 WHERE id = 1", &[])
+            .unwrap();
+        let ten = s
+            .run("SELECT COUNT(*) FROM users WHERE org = 10", &[])
+            .unwrap();
+        let twenty = s
+            .run("SELECT COUNT(*) FROM users WHERE org = 20", &[])
+            .unwrap();
         assert_eq!(ten.rows[0].get(0), Some(&Datum::Int(1)));
         assert_eq!(twenty.rows[0].get(0), Some(&Datum::Int(2)));
     }
@@ -849,7 +856,8 @@ mod tests {
     #[test]
     fn update_without_index_change_keeps_entries() {
         let mut s = store();
-        s.run("UPDATE users SET name = 'x' WHERE id = 1", &[]).unwrap();
+        s.run("UPDATE users SET name = 'x' WHERE id = 1", &[])
+            .unwrap();
         let out = s.run("SELECT name FROM users WHERE org = 10", &[]).unwrap();
         assert_eq!(out.rows.len(), 2);
     }
@@ -858,7 +866,11 @@ mod tests {
     fn delete_removes_row_and_index_entries() {
         let mut s = store();
         s.run("DELETE FROM users WHERE id = 2", &[]).unwrap();
-        assert!(s.run("SELECT * FROM users WHERE id = 2", &[]).unwrap().rows.is_empty());
+        assert!(s
+            .run("SELECT * FROM users WHERE id = 2", &[])
+            .unwrap()
+            .rows
+            .is_empty());
         let by_org = s.run("SELECT * FROM users WHERE org = 10", &[]).unwrap();
         assert_eq!(by_org.rows.len(), 1);
     }
@@ -870,12 +882,27 @@ mod tests {
             .run("INSERT INTO users VALUES (1, 'dup', 30)", &[])
             .unwrap_err();
         assert!(matches!(err, StoreError::DuplicateKey(_)));
-        s.run("REPLACE INTO users VALUES (1, 'new', 30)", &[]).unwrap();
-        let out = s.run("SELECT name, org FROM users WHERE id = 1", &[]).unwrap();
+        s.run("REPLACE INTO users VALUES (1, 'new', 30)", &[])
+            .unwrap();
+        let out = s
+            .run("SELECT name, org FROM users WHERE id = 1", &[])
+            .unwrap();
         assert_eq!(out.rows, vec![Row(vec!["new".into(), Datum::Int(30)])]);
         // old index entry must be gone, new one present
-        assert!(s.run("SELECT * FROM users WHERE org = 10", &[]).unwrap().rows.len() == 1);
-        assert!(s.run("SELECT * FROM users WHERE org = 30", &[]).unwrap().rows.len() == 1);
+        assert!(
+            s.run("SELECT * FROM users WHERE org = 10", &[])
+                .unwrap()
+                .rows
+                .len()
+                == 1
+        );
+        assert!(
+            s.run("SELECT * FROM users WHERE org = 30", &[])
+                .unwrap()
+                .rows
+                .len()
+                == 1
+        );
     }
 
     #[test]
@@ -888,11 +915,8 @@ mod tests {
     #[test]
     fn null_join_keys_match_nothing() {
         let mut s = store();
-        s.run(
-            "INSERT INTO users VALUES (9, 'nil', ?)",
-            &[Datum::Null],
-        )
-        .unwrap();
+        s.run("INSERT INTO users VALUES (9, 'nil', ?)", &[Datum::Null])
+            .unwrap();
         let out = s
             .run(
                 "SELECT * FROM users JOIN orgs ON users.org = orgs.id WHERE users.id = 9",
@@ -918,22 +942,35 @@ mod tests {
     #[test]
     fn order_by_sorts_and_limits_correctly() {
         let mut s = store();
-        let out = s.run("SELECT name FROM users ORDER BY name DESC", &[]).unwrap();
-        let names: Vec<&str> = out.rows.iter().map(|r| r.get(0).unwrap().as_text().unwrap()).collect();
+        let out = s
+            .run("SELECT name FROM users ORDER BY name DESC", &[])
+            .unwrap();
+        let names: Vec<&str> = out
+            .rows
+            .iter()
+            .map(|r| r.get(0).unwrap().as_text().unwrap())
+            .collect();
         assert_eq!(names, vec!["cyd", "bob", "ada"]);
         // Top-N: LIMIT must apply AFTER the sort, not short-circuit it.
-        let out = s.run("SELECT id FROM users ORDER BY id DESC LIMIT 1", &[]).unwrap();
+        let out = s
+            .run("SELECT id FROM users ORDER BY id DESC LIMIT 1", &[])
+            .unwrap();
         assert_eq!(out.rows, vec![Row(vec![Datum::Int(3)])]);
         // Ascending default.
-        let out = s.run("SELECT id FROM users ORDER BY org ASC LIMIT 2", &[]).unwrap();
+        let out = s
+            .run("SELECT id FROM users ORDER BY org ASC LIMIT 2", &[])
+            .unwrap();
         assert_eq!(out.rows.len(), 2);
     }
 
     #[test]
     fn order_by_puts_nulls_first() {
         let mut s = store();
-        s.run("INSERT INTO users VALUES (9, 'nil', ?)", &[Datum::Null]).unwrap();
-        let out = s.run("SELECT id FROM users ORDER BY org LIMIT 1", &[]).unwrap();
+        s.run("INSERT INTO users VALUES (9, 'nil', ?)", &[Datum::Null])
+            .unwrap();
+        let out = s
+            .run("SELECT id FROM users ORDER BY org LIMIT 1", &[])
+            .unwrap();
         assert_eq!(out.rows, vec![Row(vec![Datum::Int(9)])]);
     }
 
@@ -953,13 +990,21 @@ mod tests {
     fn pk_range_queries_return_exact_rows() {
         let mut s = store();
         // ids are 1, 2, 3
-        let out = s.run("SELECT id FROM users WHERE id > 1 AND id <= 3", &[]).unwrap();
-        let ids: Vec<i64> = out.rows.iter().map(|r| r.get(0).unwrap().as_int().unwrap()).collect();
+        let out = s
+            .run("SELECT id FROM users WHERE id > 1 AND id <= 3", &[])
+            .unwrap();
+        let ids: Vec<i64> = out
+            .rows
+            .iter()
+            .map(|r| r.get(0).unwrap().as_int().unwrap())
+            .collect();
         assert_eq!(ids, vec![2, 3]);
         assert!(out.stats.used_index, "pk range must not full-scan");
         assert_eq!(out.stats.full_scans, 0);
         // Exclusive bounds are exact despite conservative byte ranges.
-        let out = s.run("SELECT id FROM users WHERE id > 1 AND id < 3", &[]).unwrap();
+        let out = s
+            .run("SELECT id FROM users WHERE id > 1 AND id < 3", &[])
+            .unwrap();
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.rows[0].get(0), Some(&Datum::Int(2)));
     }
@@ -968,11 +1013,15 @@ mod tests {
     fn index_range_queries_use_the_index() {
         let mut s = store();
         // orgs are 10, 10, 20
-        let out = s.run("SELECT name FROM users WHERE org >= 15", &[]).unwrap();
+        let out = s
+            .run("SELECT name FROM users WHERE org >= 15", &[])
+            .unwrap();
         assert_eq!(out.rows, vec![Row(vec!["cyd".into()])]);
         assert!(out.stats.used_index);
         assert_eq!(out.stats.full_scans, 0);
-        let all = s.run("SELECT COUNT(*) FROM users WHERE org > 5 AND org < 25", &[]).unwrap();
+        let all = s
+            .run("SELECT COUNT(*) FROM users WHERE org > 5 AND org < 25", &[])
+            .unwrap();
         assert_eq!(all.rows[0].get(0), Some(&Datum::Int(3)));
     }
 
@@ -980,7 +1029,10 @@ mod tests {
     fn range_bounds_resolve_from_params() {
         let mut s = store();
         let out = s
-            .run("SELECT id FROM users WHERE id >= ? AND id <= ?", &[1.into(), 2.into()])
+            .run(
+                "SELECT id FROM users WHERE id >= ? AND id <= ?",
+                &[1.into(), 2.into()],
+            )
             .unwrap();
         assert_eq!(out.rows.len(), 2);
     }
@@ -988,11 +1040,16 @@ mod tests {
     #[test]
     fn ranges_reflect_updates_and_deletes() {
         let mut s = store();
-        s.run("UPDATE users SET org = 30 WHERE id = 3", &[]).unwrap();
-        let out = s.run("SELECT COUNT(*) FROM users WHERE org >= 25", &[]).unwrap();
+        s.run("UPDATE users SET org = 30 WHERE id = 3", &[])
+            .unwrap();
+        let out = s
+            .run("SELECT COUNT(*) FROM users WHERE org >= 25", &[])
+            .unwrap();
         assert_eq!(out.rows[0].get(0), Some(&Datum::Int(1)));
         s.run("DELETE FROM users WHERE id = 3", &[]).unwrap();
-        let out = s.run("SELECT COUNT(*) FROM users WHERE org >= 25", &[]).unwrap();
+        let out = s
+            .run("SELECT COUNT(*) FROM users WHERE org >= 25", &[])
+            .unwrap();
         assert_eq!(out.rows[0].get(0), Some(&Datum::Int(0)));
     }
 
@@ -1012,7 +1069,10 @@ mod tests {
             .unwrap(),
         );
         let mut s = MemStore::new(catalog);
-        let payload = Datum::Payload { len: 1 << 20, seed: 5 };
+        let payload = Datum::Payload {
+            len: 1 << 20,
+            seed: 5,
+        };
         s.run("INSERT INTO kv VALUES (?, ?)", &[1.into(), payload.clone()])
             .unwrap();
         let out = s.run("SELECT v FROM kv WHERE k = 1", &[]).unwrap();

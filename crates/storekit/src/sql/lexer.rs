@@ -57,36 +57,60 @@ pub fn tokenize(sql: &str) -> StoreResult<Vec<Token>> {
                 i += 1;
             }
             b',' => {
-                tokens.push(Token { kind: TokenKind::Comma, pos: start });
+                tokens.push(Token {
+                    kind: TokenKind::Comma,
+                    pos: start,
+                });
                 i += 1;
             }
             b'.' => {
-                tokens.push(Token { kind: TokenKind::Dot, pos: start });
+                tokens.push(Token {
+                    kind: TokenKind::Dot,
+                    pos: start,
+                });
                 i += 1;
             }
             b'*' => {
-                tokens.push(Token { kind: TokenKind::Star, pos: start });
+                tokens.push(Token {
+                    kind: TokenKind::Star,
+                    pos: start,
+                });
                 i += 1;
             }
             b'(' => {
-                tokens.push(Token { kind: TokenKind::LParen, pos: start });
+                tokens.push(Token {
+                    kind: TokenKind::LParen,
+                    pos: start,
+                });
                 i += 1;
             }
             b')' => {
-                tokens.push(Token { kind: TokenKind::RParen, pos: start });
+                tokens.push(Token {
+                    kind: TokenKind::RParen,
+                    pos: start,
+                });
                 i += 1;
             }
             b'?' => {
-                tokens.push(Token { kind: TokenKind::Param, pos: start });
+                tokens.push(Token {
+                    kind: TokenKind::Param,
+                    pos: start,
+                });
                 i += 1;
             }
             b'=' => {
-                tokens.push(Token { kind: TokenKind::Eq, pos: start });
+                tokens.push(Token {
+                    kind: TokenKind::Eq,
+                    pos: start,
+                });
                 i += 1;
             }
             b'!' => {
                 if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token { kind: TokenKind::Neq, pos: start });
+                    tokens.push(Token {
+                        kind: TokenKind::Neq,
+                        pos: start,
+                    });
                     i += 2;
                 } else {
                     return Err(err(start, "expected '=' after '!'"));
@@ -94,22 +118,37 @@ pub fn tokenize(sql: &str) -> StoreResult<Vec<Token>> {
             }
             b'<' => {
                 if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token { kind: TokenKind::Le, pos: start });
+                    tokens.push(Token {
+                        kind: TokenKind::Le,
+                        pos: start,
+                    });
                     i += 2;
                 } else if bytes.get(i + 1) == Some(&b'>') {
-                    tokens.push(Token { kind: TokenKind::Neq, pos: start });
+                    tokens.push(Token {
+                        kind: TokenKind::Neq,
+                        pos: start,
+                    });
                     i += 2;
                 } else {
-                    tokens.push(Token { kind: TokenKind::Lt, pos: start });
+                    tokens.push(Token {
+                        kind: TokenKind::Lt,
+                        pos: start,
+                    });
                     i += 1;
                 }
             }
             b'>' => {
                 if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token { kind: TokenKind::Ge, pos: start });
+                    tokens.push(Token {
+                        kind: TokenKind::Ge,
+                        pos: start,
+                    });
                     i += 2;
                 } else {
-                    tokens.push(Token { kind: TokenKind::Gt, pos: start });
+                    tokens.push(Token {
+                        kind: TokenKind::Gt,
+                        pos: start,
+                    });
                     i += 1;
                 }
             }
@@ -134,7 +173,10 @@ pub fn tokenize(sql: &str) -> StoreResult<Vec<Token>> {
                         }
                     }
                 }
-                tokens.push(Token { kind: TokenKind::Str(s), pos: start });
+                tokens.push(Token {
+                    kind: TokenKind::Str(s),
+                    pos: start,
+                });
             }
             b'0'..=b'9' | b'-' => {
                 let neg = c == b'-';
@@ -169,9 +211,7 @@ pub fn tokenize(sql: &str) -> StoreResult<Vec<Token>> {
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let mut j = i + 1;
-                while j < bytes.len()
-                    && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_')
-                {
+                while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
                     j += 1;
                 }
                 tokens.push(Token {

@@ -310,8 +310,7 @@ fn plan_select(catalog: &Catalog, s: &SelectStmt) -> StoreResult<SelectPlan> {
             // Figure out which side of the ON condition is which table.
             let (left_ref, right_ref) = {
                 let l_is_left = j.left.table.as_deref() == Some(s.table.as_str())
-                    || (j.left.table.is_none()
-                        && left_schema.column_index(&j.left.column).is_ok());
+                    || (j.left.table.is_none() && left_schema.column_index(&j.left.column).is_ok());
                 if l_is_left {
                     (&j.left, &j.right)
                 } else {
@@ -436,7 +435,12 @@ mod tests {
     fn pk_equality_becomes_point_get() {
         match plan_sql("SELECT * FROM users WHERE id = ?").unwrap() {
             PhysicalPlan::Select(s) => {
-                assert_eq!(s.access, Access::PointGet { value: Literal::Param(0) });
+                assert_eq!(
+                    s.access,
+                    Access::PointGet {
+                        value: Literal::Param(0)
+                    }
+                );
                 assert!(s.residual.is_empty());
             }
             _ => panic!(),
@@ -480,7 +484,13 @@ mod tests {
     fn pk_range_predicates_use_record_range() {
         match plan_sql("SELECT * FROM users WHERE id > 5").unwrap() {
             PhysicalPlan::Select(s) => {
-                assert!(matches!(s.access, Access::PkRange { lo: Some(_), hi: None }));
+                assert!(matches!(
+                    s.access,
+                    Access::PkRange {
+                        lo: Some(_),
+                        hi: None
+                    }
+                ));
                 assert_eq!(s.residual.len(), 1, "exact bound stays residual");
             }
             _ => panic!(),
@@ -562,7 +572,11 @@ mod tests {
     #[test]
     fn update_resolves_assignments_and_rejects_pk_update() {
         match plan_sql("UPDATE users SET name = ? WHERE id = ?").unwrap() {
-            PhysicalPlan::Update { access, assignments, .. } => {
+            PhysicalPlan::Update {
+                access,
+                assignments,
+                ..
+            } => {
                 assert!(matches!(access, Access::PointGet { .. }));
                 assert_eq!(assignments, vec![(1, Literal::Param(0))]);
             }
@@ -579,7 +593,10 @@ mod tests {
         assert!(plan_sql("INSERT INTO users VALUES (1, 'a', 2)").is_ok());
         assert!(matches!(
             plan_sql("INSERT INTO users VALUES (1, 'a')"),
-            Err(StoreError::ArityMismatch { expected: 3, got: 2 })
+            Err(StoreError::ArityMismatch {
+                expected: 3,
+                got: 2
+            })
         ));
     }
 

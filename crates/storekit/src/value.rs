@@ -26,7 +26,10 @@ pub enum Datum {
     /// those would need ~100 GB of host RAM, while the paper's cost metrics
     /// depend only on byte *counts*. `seed` distinguishes payload contents
     /// (two payloads are equal iff `len` and `seed` match).
-    Payload { len: u64, seed: u64 },
+    Payload {
+        len: u64,
+        seed: u64,
+    },
 }
 
 impl Datum {
@@ -194,10 +197,19 @@ mod tests {
 
     #[test]
     fn payload_accounts_at_declared_length() {
-        let p = Datum::Payload { len: 1 << 20, seed: 7 };
+        let p = Datum::Payload {
+            len: 1 << 20,
+            seed: 7,
+        };
         assert_eq!(p.encoded_size(), 5 + (1 << 20));
-        assert!(p.sql_eq(&Datum::Payload { len: 1 << 20, seed: 7 }));
-        assert!(!p.sql_eq(&Datum::Payload { len: 1 << 20, seed: 8 }));
+        assert!(p.sql_eq(&Datum::Payload {
+            len: 1 << 20,
+            seed: 7
+        }));
+        assert!(!p.sql_eq(&Datum::Payload {
+            len: 1 << 20,
+            seed: 8
+        }));
         assert!(!p.sql_eq(&Datum::Bytes(vec![])));
     }
 

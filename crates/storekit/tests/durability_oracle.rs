@@ -168,10 +168,18 @@ impl Pair {
     fn apply(&mut self, region: usize, entry: &Entry) -> bool {
         for (key, value) in &entry.writes {
             self.kv.put_at(key.clone(), value.clone(), entry.version);
-            self.ref_kv.put_at(key.clone(), value.clone(), entry.version);
+            self.ref_kv
+                .put_at(key.clone(), value.clone(), entry.version);
         }
-        self.store.on_apply(region, entry.version, entry.writes.clone(), entry.bytes, &self.cost);
-        self.reference.on_apply(region, entry.version, entry.writes.clone(), entry.bytes);
+        self.store.on_apply(
+            region,
+            entry.version,
+            entry.writes.clone(),
+            entry.bytes,
+            &self.cost,
+        );
+        self.reference
+            .on_apply(region, entry.version, entry.writes.clone(), entry.bytes);
         let snapped = self.store.maybe_snapshot(&self.kv, &self.cost).is_some();
         self.reference.maybe_snapshot(&self.ref_kv);
         snapped
@@ -198,9 +206,15 @@ impl Pair {
             return Err("live engines differ".into());
         }
         if self.store.stats != self.reference.stats {
-            return Err(format!("stats {:?} != {:?}", self.store.stats, self.reference.stats));
+            return Err(format!(
+                "stats {:?} != {:?}",
+                self.store.stats, self.reference.stats
+            ));
         }
-        let (got, want) = (self.store.ssd_resident_bytes(), self.reference.ssd_resident_bytes());
+        let (got, want) = (
+            self.store.ssd_resident_bytes(),
+            self.reference.ssd_resident_bytes(),
+        );
         if got != want {
             return Err(format!("ssd_resident_bytes {got} != {want}"));
         }
@@ -216,7 +230,10 @@ impl Pair {
 /// The oracle's verdict on one recovery.
 fn check(got: &RecoveryOutcome, want: &RecoveryOutcome) -> Result<(), String> {
     if got.kv != want.kv {
-        return Err(format!("recovered engines differ:\n{:?}\n{:?}", got.kv, want.kv));
+        return Err(format!(
+            "recovered engines differ:\n{:?}\n{:?}",
+            got.kv, want.kv
+        ));
     }
     if got != want {
         return Err(format!("outcomes differ:\n{got:?}\n{want:?}"));
@@ -249,7 +266,10 @@ fn run_case(seed: u64, cov: &mut Coverage) {
         fsync,
         snapshot_every_entries: 1 + rng.below(64),
     };
-    let ctx = format!("seed {seed} ({fsync:?}, every {})", cfg.snapshot_every_entries);
+    let ctx = format!(
+        "seed {seed} ({fsync:?}, every {})",
+        cfg.snapshot_every_entries
+    );
     let mut pair = Pair::new(cfg, regions);
     let mut tso = 0u64;
     // Keys `[region, i]`: every key lives in exactly one region.
@@ -291,10 +311,17 @@ fn run_case(seed: u64, cov: &mut Coverage) {
                 };
                 writes.push((key, value));
             }
-            let payload: u64 =
-                writes.iter().filter_map(|(_, v)| v.as_ref()).map(|v| v.len() as u64).sum();
+            let payload: u64 = writes
+                .iter()
+                .filter_map(|(_, v)| v.as_ref())
+                .map(|v| v.len() as u64)
+                .sum();
             let bytes = 64 + payload;
-            pending[r].push_back(Entry { version: tso, writes, bytes });
+            pending[r].push_back(Entry {
+                version: tso,
+                writes,
+                bytes,
+            });
         } else if roll < 85 {
             // A replica applies the oldest pending entry of any region: the
             // regions interleave out of version order.

@@ -215,7 +215,10 @@ mod tests {
             keys: 1000,
             alpha: 1.0,
             read_ratio: 0.5,
-            sizes: SizeDist::Uniform { lo: 100, hi: 10_000 },
+            sizes: SizeDist::Uniform {
+                lo: 100,
+                hi: 10_000,
+            },
             seed: 9,
             churn_period: None,
         };
@@ -269,7 +272,10 @@ mod tests {
         };
         let a = hot(&mut wl, 20_000);
         let b = hot(&mut wl, 20_000);
-        assert!(a.intersection(&b).count() > 35, "static popularity must persist");
+        assert!(
+            a.intersection(&b).count() > 35,
+            "static popularity must persist"
+        );
     }
 
     #[test]

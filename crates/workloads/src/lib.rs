@@ -41,8 +41,8 @@ pub mod zipf;
 
 pub use diurnal::DiurnalSchedule;
 pub use kv::{KvOp, KvRequest, KvWorkload, KvWorkloadConfig};
-pub use tenants::{ChurnSchedule, StormSchedule, TenantMix, TenantPicker, TenantSpec};
 pub use sessions::{SessionOp, SessionWorkload, SessionWorkloadConfig};
-pub use trace::{TraceRecord, TraceStats};
 pub use sizes::SizeDist;
+pub use tenants::{ChurnSchedule, StormSchedule, TenantMix, TenantPicker, TenantSpec};
+pub use trace::{TraceRecord, TraceStats};
 pub use zipf::ZipfSampler;

@@ -16,8 +16,8 @@ pub const META_KEYS: u64 = 1_000_000;
 /// dominate (median ≈10 B), with a tail reaching tens of KB.
 pub fn meta_size_dist() -> SizeDist {
     SizeDist::Discrete(vec![
-        (4, 0.20),     // counters / flags
-        (10, 0.35),    // median bucket
+        (4, 0.20),  // counters / flags
+        (10, 0.35), // median bucket
         (40, 0.20),
         (150, 0.12),
         (600, 0.08),

@@ -73,7 +73,10 @@ impl Default for SessionWorkloadConfig {
             get_weight: 0.88,
             advance_weight: 0.10,
             churn_weight: 0.02,
-            state_sizes: SizeDist::LogNormal { median: 4_096, sigma: 0.9 },
+            state_sizes: SizeDist::LogNormal {
+                median: 4_096,
+                sigma: 0.9,
+            },
             seed: 42,
         }
     }

@@ -80,7 +80,10 @@ mod tests {
 
     #[test]
     fn sizes_are_deterministic_per_key() {
-        let d = SizeDist::LogNormal { median: 23_000, sigma: 1.5 };
+        let d = SizeDist::LogNormal {
+            median: 23_000,
+            sigma: 1.5,
+        };
         for key in [0u64, 1, 99, 12345] {
             assert_eq!(d.size_of(key, 7), d.size_of(key, 7));
         }
@@ -107,7 +110,10 @@ mod tests {
 
     #[test]
     fn lognormal_median_is_close() {
-        let d = SizeDist::LogNormal { median: 23_000, sigma: 1.5 };
+        let d = SizeDist::LogNormal {
+            median: 23_000,
+            sigma: 1.5,
+        };
         let mut sizes: Vec<u64> = (0..20_001).map(|k| d.size_of(k, 1)).collect();
         sizes.sort_unstable();
         let median = sizes[sizes.len() / 2] as f64;

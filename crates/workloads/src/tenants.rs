@@ -112,7 +112,11 @@ impl TenantSpec {
     }
 
     pub fn with_storm(mut self, period_secs: f64, burst_secs: f64, storm_read_ratio: f64) -> Self {
-        self.storm = Some(StormSchedule { period_secs, burst_secs, storm_read_ratio });
+        self.storm = Some(StormSchedule {
+            period_secs,
+            burst_secs,
+            storm_read_ratio,
+        });
         self
     }
 }
@@ -128,7 +132,10 @@ pub struct TenantMix {
 
 impl TenantMix {
     pub fn new(tenants: Vec<TenantSpec>, select_seed: u64) -> Self {
-        TenantMix { tenants, select_seed }
+        TenantMix {
+            tenants,
+            select_seed,
+        }
     }
 
     pub fn picker(&self) -> TenantPicker {
@@ -139,7 +146,10 @@ impl TenantMix {
             acc += t.weight.max(0.0) / total.max(1e-12);
             cumulative.push(acc);
         }
-        TenantPicker { cumulative, state: self.select_seed | 1 }
+        TenantPicker {
+            cumulative,
+            state: self.select_seed | 1,
+        }
     }
 }
 
@@ -171,7 +181,11 @@ mod tests {
     use super::*;
 
     fn spec(label: &str, weight: f64) -> TenantSpec {
-        TenantSpec::new(label, weight, KvWorkloadConfig::paper_synthetic(0.9, 1_024, 7))
+        TenantSpec::new(
+            label,
+            weight,
+            KvWorkloadConfig::paper_synthetic(0.9, 1_024, 7),
+        )
     }
 
     #[test]
@@ -188,7 +202,9 @@ mod tests {
 
     #[test]
     fn churn_epochs_advance_daily() {
-        let c = ChurnSchedule { period_secs: 86_400.0 };
+        let c = ChurnSchedule {
+            period_secs: 86_400.0,
+        };
         assert_eq!(c.epoch(0.0), 0);
         assert_eq!(c.epoch(86_399.0), 0);
         assert_eq!(c.epoch(86_400.0), 1);
@@ -199,13 +215,21 @@ mod tests {
 
     #[test]
     fn storms_are_periodic_bursts() {
-        let s = StormSchedule { period_secs: 100.0, burst_secs: 10.0, storm_read_ratio: 0.2 };
+        let s = StormSchedule {
+            period_secs: 100.0,
+            burst_secs: 10.0,
+            storm_read_ratio: 0.2,
+        };
         assert_eq!(s.read_ratio_at(0.0), Some(0.2), "storm at each onset");
         assert_eq!(s.read_ratio_at(9.9), Some(0.2));
         assert_eq!(s.read_ratio_at(10.0), None, "quiet after the burst");
         assert_eq!(s.read_ratio_at(99.0), None);
         assert_eq!(s.read_ratio_at(205.0), Some(0.2), "every period");
-        let off = StormSchedule { period_secs: 0.0, burst_secs: 10.0, storm_read_ratio: 0.2 };
+        let off = StormSchedule {
+            period_secs: 0.0,
+            burst_secs: 10.0,
+            storm_read_ratio: 0.2,
+        };
         assert_eq!(off.read_ratio_at(5.0), None);
     }
 
@@ -227,6 +251,9 @@ mod tests {
         let mut solo = TenantMix::new(vec![spec("only", 1.0)], 1).picker();
         assert!((0..100).all(|_| solo.pick() == 0));
         let mut skewed = TenantMix::new(vec![spec("z", 0.0), spec("all", 2.0)], 1).picker();
-        assert!((0..1_000).all(|_| skewed.pick() == 1), "zero-weight tenant never picked");
+        assert!(
+            (0..1_000).all(|_| skewed.pick() == 1),
+            "zero-weight tenant never picked"
+        );
     }
 }

@@ -108,7 +108,10 @@ fn parse_record(s: &str) -> Result<TraceRecord, String> {
     let (mut op, mut k, mut b) = (None::<char>, None::<u64>, None::<u64>);
     for field in inner.split(',') {
         let (key, value) = field.split_once(':').ok_or("expected \"key\": value")?;
-        let key = key.trim().strip_prefix('"').and_then(|t| t.strip_suffix('"'));
+        let key = key
+            .trim()
+            .strip_prefix('"')
+            .and_then(|t| t.strip_suffix('"'));
         let value = value.trim();
         match key {
             Some("op") => {
@@ -122,7 +125,9 @@ fn parse_record(s: &str) -> Result<TraceRecord, String> {
                 }
             }
             Some(name @ ("k" | "b")) => {
-                let n: u64 = value.parse().map_err(|_| format!("\"{name}\" must be a u64"))?;
+                let n: u64 = value
+                    .parse()
+                    .map_err(|_| format!("\"{name}\" must be a u64"))?;
                 let slot = if name == "k" { &mut k } else { &mut b };
                 if slot.replace(n).is_some() {
                     return Err(format!("duplicate field \"{name}\""));
@@ -246,7 +251,10 @@ mod tests {
     #[test]
     fn bad_ops_are_rejected() {
         let input = b"{\"op\":\"x\",\"k\":1,\"b\":2}\n";
-        assert!(matches!(read_jsonl(&input[..]), Err(TraceError::BadOp('x'))));
+        assert!(matches!(
+            read_jsonl(&input[..]),
+            Err(TraceError::BadOp('x'))
+        ));
     }
 
     #[test]
@@ -254,7 +262,11 @@ mod tests {
         let trace = sample_trace();
         let st = stats(&trace);
         assert_eq!(st.requests, 500);
-        assert!((st.read_ratio - 0.8).abs() < 0.08, "read ratio {}", st.read_ratio);
+        assert!(
+            (st.read_ratio - 0.8).abs() < 0.08,
+            "read ratio {}",
+            st.read_ratio
+        );
         assert_eq!(st.median_value_bytes, 512);
         assert!(st.distinct_keys > 50);
     }

@@ -221,9 +221,18 @@ impl UnityDataset {
             scale,
             // Tuned so the assembled object's median lands near the paper's
             // ≈23 KB with a heavy tail (asserted by a test).
-            props_dist: SizeDist::LogNormal { median: 10_000, sigma: 1.1 },
-            comment_dist: SizeDist::LogNormal { median: 400, sigma: 0.8 },
-            constraint_dist: SizeDist::LogNormal { median: 900, sigma: 0.7 },
+            props_dist: SizeDist::LogNormal {
+                median: 10_000,
+                sigma: 1.1,
+            },
+            comment_dist: SizeDist::LogNormal {
+                median: 400,
+                sigma: 0.8,
+            },
+            constraint_dist: SizeDist::LogNormal {
+                median: 900,
+                sigma: 0.7,
+            },
         }
     }
 
@@ -272,14 +281,18 @@ impl UnityDataset {
 
     fn comment_payload(&self, t: u64, col: u64) -> Datum {
         Datum::Payload {
-            len: self.comment_dist.size_of(t * 131 + col, self.scale.seed ^ 0xB),
+            len: self
+                .comment_dist
+                .size_of(t * 131 + col, self.scale.seed ^ 0xB),
             seed: self.h(9, t * 131 + col),
         }
     }
 
     fn constraint_payload(&self, t: u64, i: u64) -> Datum {
         Datum::Payload {
-            len: self.constraint_dist.size_of(t * 17 + i, self.scale.seed ^ 0xC),
+            len: self
+                .constraint_dist
+                .size_of(t * 17 + i, self.scale.seed ^ 0xC),
             seed: self.h(10, t * 17 + i),
         }
     }
@@ -411,14 +424,38 @@ impl UnityDataset {
         let catalog = self.catalog_of_schema(schema);
         let owner = self.owner_of_table(t);
         vec![
-            ("SELECT * FROM tables WHERE id = ?", vec![Datum::Int(t as i64)]),
-            ("SELECT * FROM schemas WHERE id = ?", vec![Datum::Int(schema as i64)]),
-            ("SELECT * FROM catalogs WHERE id = ?", vec![Datum::Int(catalog as i64)]),
-            ("SELECT * FROM privileges WHERE securable = ?", vec![Datum::Int(t as i64)]),
-            ("SELECT * FROM constraints WHERE table_ref = ?", vec![Datum::Int(t as i64)]),
-            ("SELECT * FROM columns_meta WHERE table_ref = ?", vec![Datum::Int(t as i64)]),
-            ("SELECT * FROM lineage WHERE table_ref = ?", vec![Datum::Int(t as i64)]),
-            ("SELECT * FROM principals WHERE id = ?", vec![Datum::Int(owner as i64)]),
+            (
+                "SELECT * FROM tables WHERE id = ?",
+                vec![Datum::Int(t as i64)],
+            ),
+            (
+                "SELECT * FROM schemas WHERE id = ?",
+                vec![Datum::Int(schema as i64)],
+            ),
+            (
+                "SELECT * FROM catalogs WHERE id = ?",
+                vec![Datum::Int(catalog as i64)],
+            ),
+            (
+                "SELECT * FROM privileges WHERE securable = ?",
+                vec![Datum::Int(t as i64)],
+            ),
+            (
+                "SELECT * FROM constraints WHERE table_ref = ?",
+                vec![Datum::Int(t as i64)],
+            ),
+            (
+                "SELECT * FROM columns_meta WHERE table_ref = ?",
+                vec![Datum::Int(t as i64)],
+            ),
+            (
+                "SELECT * FROM lineage WHERE table_ref = ?",
+                vec![Datum::Int(t as i64)],
+            ),
+            (
+                "SELECT * FROM principals WHERE id = ?",
+                vec![Datum::Int(owner as i64)],
+            ),
         ]
     }
 
@@ -521,8 +558,12 @@ mod tests {
         }
         let c = UnityDataset::new(UnityScale::tiny(8));
         assert_ne!(
-            (0..50).map(|t| a.object_logical_bytes(t)).collect::<Vec<_>>(),
-            (0..50).map(|t| c.object_logical_bytes(t)).collect::<Vec<_>>(),
+            (0..50)
+                .map(|t| a.object_logical_bytes(t))
+                .collect::<Vec<_>>(),
+            (0..50)
+                .map(|t| c.object_logical_bytes(t))
+                .collect::<Vec<_>>(),
         );
     }
 
@@ -538,7 +579,10 @@ mod tests {
             "median object size {median} outside the ~23KB regime"
         );
         let p99 = sizes[(sizes.len() as f64 * 0.99) as usize];
-        assert!(p99 > 3 * median, "p99 {p99} not heavy-tailed vs median {median}");
+        assert!(
+            p99 > 3 * median,
+            "p99 {p99} not heavy-tailed vs median {median}"
+        );
     }
 
     #[test]
@@ -578,8 +622,14 @@ mod tests {
             // Parameter shortcut is sound: stmt 1's stored row carries
             // exactly the ids the model used for stmts 2 and 8.
             let table_row = &results[0].rows[0];
-            assert_eq!(table_row.get(1), Some(&Datum::Int(d.schema_of_table(t) as i64)));
-            assert_eq!(table_row.get(3), Some(&Datum::Int(d.owner_of_table(t) as i64)));
+            assert_eq!(
+                table_row.get(1),
+                Some(&Datum::Int(d.schema_of_table(t) as i64))
+            );
+            assert_eq!(
+                table_row.get(3),
+                Some(&Datum::Int(d.owner_of_table(t) as i64))
+            );
         }
     }
 
@@ -604,7 +654,12 @@ mod tests {
         assert_eq!(out.rows.len() as u64, d.privileges_of_table(t));
         for row in &out.rows {
             assert_eq!(row.get(0), Some(&Datum::Text("SELECT".into())));
-            assert!(row.get(1).unwrap().as_text().unwrap().starts_with("principal_"));
+            assert!(row
+                .get(1)
+                .unwrap()
+                .as_text()
+                .unwrap()
+                .starts_with("principal_"));
         }
         // Top-N privileges ordered by grantee id — ORDER BY + LIMIT on the
         // same schema.

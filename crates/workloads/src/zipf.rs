@@ -102,7 +102,10 @@ impl ZipfSampler {
 /// mod; collisions merely permute popularity among keys, preserving the
 /// overall popularity *distribution*, which is what the experiments need.)
 pub fn scramble(rank: u64, n: u64) -> u64 {
-    splitmix64(rank.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(0x1234_5678)) % n
+    splitmix64(
+        rank.wrapping_mul(0x9E3779B97F4A7C15)
+            .wrapping_add(0x1234_5678),
+    ) % n
 }
 
 #[cfg(test)]

@@ -34,14 +34,18 @@ fn main() {
     let s_d = arg("--storage-cache-gb").unwrap_or(1.0);
     let dataset_gb = params.keys as f64 * params.mean_entry_bytes / 1e9;
 
-    println!("workload: {:.0} QPS over {} keys (Zipf {:.2}), mean entry {:.0} B",
-        params.qps, params.keys, params.alpha, params.mean_entry_bytes);
+    println!(
+        "workload: {:.0} QPS over {} keys (Zipf {:.2}), mean entry {:.0} B",
+        params.qps, params.keys, params.alpha, params.mean_entry_bytes
+    );
     println!("dataset:  {dataset_gb:.1} GB; storage-layer cache fixed at {s_d:.1} GB\n");
 
     let model = TheoryModel::new(params.clone());
     let no_cache = model.total_cost(0.0, s_d);
-    println!("no linked cache      : ${no_cache:>10.2}/mo   (MR at storage cache: {:.3})",
-        model.miss_ratio(s_d));
+    println!(
+        "no linked cache      : ${no_cache:>10.2}/mo   (MR at storage cache: {:.3})",
+        model.miss_ratio(s_d)
+    );
 
     let best = model.optimal_s_a(s_d, (dataset_gb * 1.2).max(1.0));
     let best_cost = model.total_cost(best, s_d);
@@ -71,10 +75,16 @@ fn main() {
     );
 
     println!("\ngradients at the optimum (s_A = {best:.2} GB):");
-    println!("  dT/ds_A = {:+.2} $/GB    dT/ds_D = {:+.2} $/GB",
-        model.d_ds_a(best, s_d), model.d_ds_d(best, s_d));
-    println!("\nPrices: ${}/core-month, ${}/GB-month DRAM (GCP, paper Section 3).",
-        Pricing::default().cpu_core_month, Pricing::default().mem_gb_month);
+    println!(
+        "  dT/ds_A = {:+.2} $/GB    dT/ds_D = {:+.2} $/GB",
+        model.d_ds_a(best, s_d),
+        model.d_ds_d(best, s_d)
+    );
+    println!(
+        "\nPrices: ${}/core-month, ${}/GB-month DRAM (GCP, paper Section 3).",
+        Pricing::default().cpu_core_month,
+        Pricing::default().mem_gb_month
+    );
     println!("Caveat: the model prices steady state; run the full simulator");
     println!("(`dcache::experiment`) for per-architecture and consistency costs.");
 }

@@ -58,7 +58,9 @@ async fn main() -> std::io::Result<()> {
     let mut client = CacheClient::connect(addr).await?;
     // Warm: one SET per key.
     for k in 0..cfg.keys {
-        client.set(format!("key{k}").as_bytes(), &value, None).await?;
+        client
+            .set(format!("key{k}").as_bytes(), &value, None)
+            .await?;
     }
 
     let cpu0 = process_cpu_nanos();
@@ -87,7 +89,10 @@ async fn main() -> std::io::Result<()> {
     let per_op_cpu_us = cpu as f64 / ops as f64 / 1_000.0;
     let per_op_wall_us = wall.as_micros() as f64 / ops as f64;
     println!("\n{ops} ops over real TCP (1 KB values, 90% reads):");
-    println!("  wall time  : {:.2}s  ({per_op_wall_us:.1} us/op round trip)", wall.as_secs_f64());
+    println!(
+        "  wall time  : {:.2}s  ({per_op_wall_us:.1} us/op round trip)",
+        wall.as_secs_f64()
+    );
     println!("  CPU (both sides + runtime): {per_op_cpu_us:.1} us/op");
     println!("  client-observed hits: {hits}; server stats: {srv_hits} hits / {srv_misses} misses, {entries} entries, {used} bytes");
 

@@ -27,7 +27,9 @@ fn main() {
     };
 
     let dataset = UnityDataset::new(scale);
-    let mut sizes: Vec<u64> = (0..scale.tables).map(|t| dataset.object_logical_bytes(t)).collect();
+    let mut sizes: Vec<u64> = (0..scale.tables)
+        .map(|t| dataset.object_logical_bytes(t))
+        .collect();
     sizes.sort_unstable();
     println!(
         "universe: {} tables; assembled objects: median {} KB, p99 {} KB",
@@ -58,7 +60,11 @@ fn main() {
             "object" => run_unity_object_experiment(&cfg).expect("object run"),
             _ => run_unity_kv_experiment(&cfg).expect("kv run"),
         };
-        (r.total_cost.total(), r.sql_statements as f64 / r.requests as f64, r.cache_hit_ratio)
+        (
+            r.total_cost.total(),
+            r.sql_statements as f64 / r.requests as f64,
+            r.cache_hit_ratio,
+        )
     };
 
     for flavor in ["object", "kv"] {

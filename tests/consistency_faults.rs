@@ -3,12 +3,10 @@
 //! machine-generated histories.
 
 use dcache_cost::sim::{SimDuration, SimTime};
-use dcache_cost::study::consistency::{
-    check_linearizable, delayed_write_scenario, HistoryOp,
-};
+use dcache_cost::store::value::Datum;
+use dcache_cost::study::consistency::{check_linearizable, delayed_write_scenario, HistoryOp};
 use dcache_cost::study::deployment::{kv_catalog, Deployment};
 use dcache_cost::study::{ArchKind, DeploymentConfig};
-use dcache_cost::store::value::Datum;
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_nanos(ms * 1_000_000)
@@ -73,7 +71,10 @@ fn version_checked_reads_are_linearizable_under_interleaving() {
         kv_catalog("kv"),
     );
     d.cluster
-        .bulk_load("kv", vec![vec![Datum::Int(1), Datum::Payload { len: 64, seed: 0 }]])
+        .bulk_load(
+            "kv",
+            vec![vec![Datum::Int(1), Datum::Payload { len: 64, seed: 0 }]],
+        )
         .unwrap();
 
     let mut history = vec![HistoryOp::write(0, t(0), t(0))];
@@ -84,7 +85,10 @@ fn version_checked_reads_are_linearizable_under_interleaving() {
         d.cluster
             .execute(
                 "UPDATE kv SET v = ? WHERE k = 1",
-                &[Datum::Payload { len: 64, seed: round }],
+                &[Datum::Payload {
+                    len: 64,
+                    seed: round,
+                }],
                 start,
             )
             .unwrap();
@@ -112,7 +116,10 @@ fn plain_linked_interleaving_fails_the_checker() {
         kv_catalog("kv"),
     );
     d.cluster
-        .bulk_load("kv", vec![vec![Datum::Int(1), Datum::Payload { len: 64, seed: 0 }]])
+        .bulk_load(
+            "kv",
+            vec![vec![Datum::Int(1), Datum::Payload { len: 64, seed: 0 }]],
+        )
         .unwrap();
     // Fill the cache.
     d.serve_kv_read("kv", 1, t(1)).unwrap();
@@ -141,7 +148,10 @@ fn lease_expiry_recovers_freshness_without_per_read_checks() {
         kv_catalog("kv"),
     );
     d.cluster
-        .bulk_load("kv", vec![vec![Datum::Int(1), Datum::Payload { len: 64, seed: 0 }]])
+        .bulk_load(
+            "kv",
+            vec![vec![Datum::Int(1), Datum::Payload { len: 64, seed: 0 }]],
+        )
         .unwrap();
     d.serve_kv_read("kv", 1, t(1)).unwrap();
 

@@ -117,7 +117,8 @@ fn apply(c: &mut SqlCluster, model: &mut BTreeMap<i64, Vec<u8>>, op: Op, now: Si
             model.insert(k, v);
         }
         Op::Del(k) => {
-            c.execute("DELETE FROM kv WHERE k = ?", &[k.into()], now).unwrap();
+            c.execute("DELETE FROM kv WHERE k = ?", &[k.into()], now)
+                .unwrap();
             model.remove(&k);
         }
     }
@@ -134,7 +135,12 @@ fn read(c: &mut SqlCluster, k: i64, now: SimTime) -> Option<Vec<u8>> {
     })
 }
 
-fn assert_state_matches(c: &mut SqlCluster, model: &BTreeMap<i64, Vec<u8>>, now: SimTime, at: usize) {
+fn assert_state_matches(
+    c: &mut SqlCluster,
+    model: &BTreeMap<i64, Vec<u8>>,
+    now: SimTime,
+    at: usize,
+) {
     for k in 0..KEYS as i64 {
         assert_eq!(
             read(c, k, now).as_ref(),

@@ -27,22 +27,60 @@ const NODES: u32 = 5;
 /// One proptest-generated schedule entry, before conversion to a real event.
 #[derive(Debug, Clone)]
 enum GenEvent {
-    CrashFor { at_ms: u64, node: u32, down_ms: u64 },
-    Partition { at_ms: u64, a: u32, b: u32, heal_ms: u64 },
-    LatencySpike { at_ms: u64, extra_us: u64, len_ms: u64 },
-    DropWindow { at_ms: u64, prob: f64, len_ms: u64 },
+    CrashFor {
+        at_ms: u64,
+        node: u32,
+        down_ms: u64,
+    },
+    Partition {
+        at_ms: u64,
+        a: u32,
+        b: u32,
+        heal_ms: u64,
+    },
+    LatencySpike {
+        at_ms: u64,
+        extra_us: u64,
+        len_ms: u64,
+    },
+    DropWindow {
+        at_ms: u64,
+        prob: f64,
+        len_ms: u64,
+    },
 }
 
 fn gen_event(allow_random_loss: bool) -> impl Strategy<Value = GenEvent> {
-    let crash = (0u64..40, 0u32..NODES, 1u64..20)
-        .prop_map(|(at_ms, node, down_ms)| GenEvent::CrashFor { at_ms, node, down_ms });
-    let partition = (0u64..40, 0u32..NODES, 0u32..NODES, 1u64..20)
-        .prop_map(|(at_ms, a, b, heal_ms)| GenEvent::Partition { at_ms, a, b, heal_ms });
-    let spike = (0u64..40, 1u64..500, 1u64..20)
-        .prop_map(|(at_ms, extra_us, len_ms)| GenEvent::LatencySpike { at_ms, extra_us, len_ms });
+    let crash =
+        (0u64..40, 0u32..NODES, 1u64..20).prop_map(|(at_ms, node, down_ms)| GenEvent::CrashFor {
+            at_ms,
+            node,
+            down_ms,
+        });
+    let partition =
+        (0u64..40, 0u32..NODES, 0u32..NODES, 1u64..20).prop_map(|(at_ms, a, b, heal_ms)| {
+            GenEvent::Partition {
+                at_ms,
+                a,
+                b,
+                heal_ms,
+            }
+        });
+    let spike = (0u64..40, 1u64..500, 1u64..20).prop_map(|(at_ms, extra_us, len_ms)| {
+        GenEvent::LatencySpike {
+            at_ms,
+            extra_us,
+            len_ms,
+        }
+    });
     if allow_random_loss {
-        let drop = (0u64..40, 0.05f64..0.95, 1u64..20)
-            .prop_map(|(at_ms, prob, len_ms)| GenEvent::DropWindow { at_ms, prob, len_ms });
+        let drop = (0u64..40, 0.05f64..0.95, 1u64..20).prop_map(|(at_ms, prob, len_ms)| {
+            GenEvent::DropWindow {
+                at_ms,
+                prob,
+                len_ms,
+            }
+        });
         prop_oneof![crash, partition, spike, drop].boxed()
     } else {
         prop_oneof![crash, partition, spike].boxed()
@@ -54,20 +92,37 @@ fn build_schedule(events: &[GenEvent]) -> FaultSchedule {
     let mut s = FaultSchedule::new();
     for ev in events {
         match *ev {
-            GenEvent::CrashFor { at_ms, node, down_ms } => {
+            GenEvent::CrashFor {
+                at_ms,
+                node,
+                down_ms,
+            } => {
                 s.crash_for(t(at_ms), NodeId(node), SimDuration::from_millis(down_ms));
             }
-            GenEvent::Partition { at_ms, a, b, heal_ms } => {
+            GenEvent::Partition {
+                at_ms,
+                a,
+                b,
+                heal_ms,
+            } => {
                 s.partition_window(t(at_ms), t(at_ms + heal_ms), NodeId(a), NodeId(b));
             }
-            GenEvent::LatencySpike { at_ms, extra_us, len_ms } => {
+            GenEvent::LatencySpike {
+                at_ms,
+                extra_us,
+                len_ms,
+            } => {
                 s.latency_spike(
                     t(at_ms),
                     t(at_ms + len_ms),
                     SimDuration::from_micros(extra_us),
                 );
             }
-            GenEvent::DropWindow { at_ms, prob, len_ms } => {
+            GenEvent::DropWindow {
+                at_ms,
+                prob,
+                len_ms,
+            } => {
                 s.drop_window(t(at_ms), t(at_ms + len_ms), prob);
             }
         }

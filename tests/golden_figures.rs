@@ -89,7 +89,10 @@ fn goldens_on_disk_are_well_formed() {
         return;
     }
     let dir = golden_dir();
-    assert!(dir.exists(), "tests/golden missing; bless with UPDATE_GOLDEN=1");
+    assert!(
+        dir.exists(),
+        "tests/golden missing; bless with UPDATE_GOLDEN=1"
+    );
     let mut seen = 0;
     for entry in std::fs::read_dir(&dir).expect("read tests/golden") {
         let path = entry.expect("dir entry").path();
@@ -110,7 +113,12 @@ fn goldens_on_disk_are_well_formed() {
         }
         // Round-trip: parse(to_json(parse(x))) is the identity, so blessing
         // never rewrites a snapshot that didn't change.
-        assert_eq!(fig.to_json(), text, "{}: not in canonical form", path.display());
+        assert_eq!(
+            fig.to_json(),
+            text,
+            "{}: not in canonical form",
+            path.display()
+        );
         seen += 1;
     }
     assert!(seen >= 7, "expected >=7 golden snapshots, found {seen}");

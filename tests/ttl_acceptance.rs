@@ -11,8 +11,7 @@
 
 use bench::sweep::SweepRunner;
 use bench::ttl::{
-    cell_dollars, experiment, isolation_experiment, run_sweep, tenant_hit, Plane, Schedule,
-    TtlSpec,
+    cell_dollars, experiment, isolation_experiment, run_sweep, tenant_hit, Plane, Schedule, TtlSpec,
 };
 use dcache::experiment::run_kv_experiment;
 use dcache::ArchKind;
@@ -62,7 +61,11 @@ fn ttl_plane_wins_dollars_under_churn_or_storms() {
         let statics = cell_dollars(Plane::Static, &r[0]);
         let mrc = cell_dollars(Plane::Mrc, &r[1]);
         let ttl = cell_dollars(Plane::Ttl, &r[2]);
-        assert!(r[2].expired_entries > 0, "{}: nothing expired", schedule.label());
+        assert!(
+            r[2].expired_entries > 0,
+            "{}: nothing expired",
+            schedule.label()
+        );
         if ttl < mrc && ttl < statics {
             wins += 1;
         }
